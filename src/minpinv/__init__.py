@@ -14,6 +14,7 @@ from .baselines import (
     discrepancy_alpha,
     morozov_solve,
     morozov_spectrum,
+    solve,
     tikhonov_solve,
     tikhonov_spectrum,
     tsvd_rank_by_discrepancy,
@@ -68,6 +69,7 @@ __all__ = [
     "USING_NUMBA",
     "InputError",
     "SolverError",
+    "solve",
     "SvdFactors",
     "PinvCheckReport",
     "svd",

@@ -22,6 +22,10 @@ import numpy as np
 # Value of x**4 - x**3 at x = 3/2: the largest admissible right side.
 QUARTIC_MAX = 27.0 / 16.0
 
+# Newton stops once a step is within a few ulps of x; a fixed absolute
+# threshold below one ulp of x in [1, 3/2] would never be met.
+EPS = float(np.finfo(np.float64).eps)
+
 _DISABLE = os.environ.get("MINPINV_DISABLE_NUMBA", "").strip().lower() in {
     "1", "true", "yes", "on",
 }
@@ -31,7 +35,7 @@ if not _DISABLE:
         from numba import njit
 
         HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # pragma: no cover - numba is an optional extra
         HAVE_NUMBA = False
 else:
     HAVE_NUMBA = False
@@ -49,7 +53,7 @@ def quartic_roots_numpy(t):
     for _ in range(100):
         step = (x * x * x * (x - 1.0) - t) / (x * x * (4.0 * x - 3.0))
         x -= step
-        if np.all(np.abs(step) <= 1e-16):
+        if np.all(np.abs(step) <= 4.0 * EPS * x):
             break
     np.clip(x, 1.0, 1.5, out=x)
     x[t <= 0.0] = 1.0
@@ -140,7 +144,7 @@ if USING_NUMBA:
         for _ in range(100):
             step = (x * x * x * (x - 1.0) - t) / (x * x * (4.0 * x - 3.0))
             x -= step
-            if abs(step) <= 1e-16:
+            if abs(step) <= 4.0 * EPS * x:
                 break
         if x < 1.0:
             x = 1.0

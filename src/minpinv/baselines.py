@@ -1,18 +1,23 @@
-"""Baseline regularizers: truncated SVD, Tikhonov and a Morozov variant.
+"""Baseline regularizers and the one method table behind every solve.
 
-All solvers work in the spectral coordinates of a precomputed
-factorization and return the same :class:`~minpinv.mpmi.SolveReport`
-shape as the main method, including the spectral condition number of
-the effective solving operator.
+Every method picks one parameter and yields an effective spectrum s over
+the leading singular indices; :func:`~minpinv.mpmi.spectral_report`
+turns it into the solution z = V (c / s) and its
+:class:`~minpinv.mpmi.SolveReport`.  The baselines are truncated SVD
+(s_k = sigma_k up to the rank), Tikhonov (s_k = (alpha + sigma_k^2) /
+sigma_k) and a Morozov variant (s_k = (alpha + sigma_k^2)^2 / sigma_k^3);
+:func:`solve` dispatches between them and the quartic filters.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InputError, SolverError
-from .linalg import require_vector
-from .mpmi import SolveReport, residual_floor
+from .linalg import SvdFactors, require_vector, spectrum_cond, svd
+from .mpm import filtered_spectrum, solve_level
+from .mpmi import discrepancy_target, head_residual_sq, mpmi_spectrum, spectral_report
 
 __all__ = [
     "tsvd_rank_by_discrepancy",
@@ -25,6 +30,8 @@ __all__ = [
     "morozov_spectrum",
     "morozov_solve",
     "discrepancy_alpha",
+    "METHODS",
+    "solve",
 ]
 
 
@@ -34,6 +41,22 @@ def _coeff_tails(coeffs):
     return np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
 
 
+def _tsvd_spectrum(factors, coeffs, delta_abs=None, rank=None):
+    """sigma_k for k below the rank, 0 past it; without ``rank``, the
+    smallest rank whose coefficient tail fits the discrepancy target."""
+    if rank is None:
+        target, _, _ = discrepancy_target(coeffs, factors.rank, delta_abs)
+        tails = _coeff_tails(coeffs)
+        rank = next((max(k, 1) for k in range(factors.rank + 1) if tails[k] <= target),
+                    factors.rank)
+    if not 1 <= rank <= factors.rank:
+        raise InputError(f"truncation rank {rank} outside 1..{factors.rank}")
+    rank = int(rank)
+    s = np.zeros(factors.rank)
+    s[:rank] = factors.sigma[:rank]
+    return s, rank, False
+
+
 def tsvd_rank_by_discrepancy(factors, u, delta_abs):
     """Smallest kept rank whose coefficient tail fits the noise target.
 
@@ -41,22 +64,7 @@ def tsvd_rank_by_discrepancy(factors, u, delta_abs):
     is a nonincreasing step function of the rank, so this is its
     discrete generalized root.
     """
-    if delta_abs <= 0.0:
-        raise InputError("noise bound must be positive")
-    coeffs = factors.project_rhs(u)
-    floor_sq = float(np.sum(coeffs[factors.rank:] ** 2))
-    target = delta_abs * delta_abs + floor_sq
-    u_norm_sq = float(np.sum(coeffs * coeffs))
-    if target >= u_norm_sq:
-        raise SolverError(
-            "noise dominates signal",
-            f"target residual^2 {target} >= ||u||^2 {u_norm_sq}",
-        )
-    tails = _coeff_tails(coeffs)
-    for rank in range(factors.rank + 1):
-        if tails[rank] <= target:
-            return max(rank, 1)
-    return factors.rank
+    return _tsvd_spectrum(factors, factors.project_rhs(u), delta_abs=delta_abs)[1]
 
 
 def tsvd_rank_by_matrix_error(sigma, matrix_error):
@@ -83,150 +91,45 @@ def tsvd_rank_by_matrix_error(sigma, matrix_error):
 
 def tsvd_solve(factors, u, rank):
     """Solution through the rank-truncated spectrum."""
-    if not 1 <= rank <= factors.rank:
-        raise InputError(
-            f"truncation rank {rank} outside 1..{factors.rank}"
-        )
-    rank = int(rank)
-    coeffs = factors.project_rhs(u)
-    z = factors.v[:, :rank] @ (coeffs[:rank] / factors.sigma[:rank])
-    resid_sq = float(np.sum(coeffs[rank:] ** 2))
-    return SolveReport(
-        solution=z,
-        method="tsvd",
-        parameter=rank,
-        effective_rank=rank,
-        condition_number=float(factors.sigma[0] / factors.sigma[rank - 1]),
-        residual=float(np.sqrt(resid_sq)),
-        residual_floor=residual_floor(factors, u),
-    )
+    return solve(factors, u, "tsvd", rank=rank)
 
 
-@dataclass(frozen=True)
-class TikhonovSpectrum:
-    """Spectral data of the Tikhonov operator at a fixed alpha."""
-
-    alpha: float
-    filter_factors: np.ndarray  # sigma_k / (alpha + sigma_k^2), k <= rank
-    cond: float                 # extreme ratio of (alpha + sigma_k^2) / sigma_k
+def _tikhonov_values(sigma, alpha):
+    return (alpha + sigma * sigma) / sigma
 
 
-def tikhonov_spectrum(factors, alpha):
+def _morozov_values(sigma, alpha):
+    return (alpha + sigma * sigma) ** 2 / sigma ** 3
+
+
+def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
+    """``values(sigma, alpha)`` over the numerical rank; without ``alpha``,
+    the alpha whose residual matches the discrepancy target."""
+    sigma = factors.sigma[: factors.rank]
+    if alpha is None:
+        alpha = _alpha_by_discrepancy(values, sigma, coeffs, delta_abs)
     if alpha <= 0.0:
         raise InputError("regularization parameter must be positive")
-    sigma = factors.sigma[: factors.rank]
-    inverse_scale = (alpha + sigma * sigma) / sigma
-    return TikhonovSpectrum(
-        alpha=float(alpha),
-        filter_factors=1.0 / inverse_scale,
-        cond=float(np.max(inverse_scale) / np.min(inverse_scale)),
-    )
+    return values(sigma, alpha), float(alpha), False
 
 
-def tikhonov_solve(factors, u, alpha):
-    """Classical quadratic regularization in spectral form."""
-    spectrum = tikhonov_spectrum(factors, alpha)
-    rank = factors.rank
-    coeffs = factors.project_rhs(u)
-    z = factors.v[:, :rank] @ (spectrum.filter_factors * coeffs[:rank])
-    sigma = factors.sigma[:rank]
-    damping = alpha / (alpha + sigma * sigma)
-    floor = residual_floor(factors, u)
-    resid_sq = float(np.sum((damping * coeffs[:rank]) ** 2)) + floor * floor
-    return SolveReport(
-        solution=z,
-        method="tr",
-        parameter=float(alpha),
-        effective_rank=rank,
-        condition_number=spectrum.cond,
-        residual=float(np.sqrt(resid_sq)),
-        residual_floor=floor,
-    )
-
-
-@dataclass(frozen=True)
-class MorozovSpectrum:
-    alpha: float
-    filter_factors: np.ndarray  # sigma_k^3 / (alpha + sigma_k^2)^2
-    cond: float
-
-
-def morozov_spectrum(factors, alpha):
-    if alpha <= 0.0:
-        raise InputError("regularization parameter must be positive")
-    sigma = factors.sigma[: factors.rank]
-    inverse_scale = (alpha + sigma * sigma) ** 2 / sigma ** 3
-    return MorozovSpectrum(
-        alpha=float(alpha),
-        filter_factors=1.0 / inverse_scale,
-        cond=float(np.max(inverse_scale) / np.min(inverse_scale)),
-    )
-
-
-def morozov_solve(factors, u, alpha):
-    """The doubly-damped regularization variant."""
-    spectrum = morozov_spectrum(factors, alpha)
-    rank = factors.rank
-    coeffs = factors.project_rhs(u)
-    z = factors.v[:, :rank] @ (spectrum.filter_factors * coeffs[:rank])
-    sigma = factors.sigma[:rank]
-    # 1 - sigma * g = alpha (alpha + 2 sigma^2) / (alpha + sigma^2)^2
-    damping = alpha * (alpha + 2.0 * sigma * sigma) / (alpha + sigma * sigma) ** 2
-    floor = residual_floor(factors, u)
-    resid_sq = float(np.sum((damping * coeffs[:rank]) ** 2)) + floor * floor
-    return SolveReport(
-        solution=z,
-        method="morozov",
-        parameter=float(alpha),
-        effective_rank=rank,
-        condition_number=spectrum.cond,
-        residual=float(np.sqrt(resid_sq)),
-        residual_floor=floor,
-    )
-
-
-def _tikhonov_residual_sq(factors, coeffs, floor_sq, alpha):
-    sigma = factors.sigma[: factors.rank]
-    damping = alpha / (alpha + sigma * sigma)
-    return float(np.sum((damping * coeffs[: factors.rank]) ** 2)) + floor_sq
-
-
-def _morozov_residual_sq(factors, coeffs, floor_sq, alpha):
-    sigma = factors.sigma[: factors.rank]
-    s2 = sigma * sigma
-    damping = alpha * (alpha + 2.0 * s2) / (alpha + s2) ** 2
-    return float(np.sum((damping * coeffs[: factors.rank]) ** 2)) + floor_sq
-
-
-def discrepancy_alpha(factors, u, delta_abs, method="tr"):
-    """Regularization parameter matching the residual to the noise level.
-
-    Bisection on log(alpha) over [eps * sigma_1^2, 1e6 * sigma_1^2]; the
+def _alpha_by_discrepancy(values, sigma, coeffs, delta_abs):
+    """Bisection on log(alpha) over [eps * sigma_1^2, 1e6 * sigma_1^2]; the
     spectral residual is continuous and strictly increasing in alpha, so
     the bracket either contains the root or the data is out of reach.
     """
-    if delta_abs <= 0.0:
-        raise InputError("noise bound must be positive")
-    if method == "tr":
-        residual_sq = _tikhonov_residual_sq
-    elif method == "morozov":
-        residual_sq = _morozov_residual_sq
-    else:
-        raise InputError(f"unknown discrepancy method {method!r}")
-    coeffs = factors.project_rhs(u)
-    floor_sq = float(np.sum(coeffs[factors.rank:] ** 2))
-    target = delta_abs * delta_abs + floor_sq
-    u_norm_sq = float(np.sum(coeffs * coeffs))
-    if target >= u_norm_sq:
-        raise SolverError(
-            "noise dominates signal",
-            f"target residual^2 {target} >= ||u||^2 {u_norm_sq}",
-        )
-    top = float(factors.sigma[0]) ** 2
+    rank = len(sigma)
+    target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
+    head_sq = coeffs[:rank] ** 2
+
+    def residual_sq(alpha):
+        return head_residual_sq(sigma, values(sigma, alpha), head_sq) + floor_sq
+
+    top = float(sigma[0]) ** 2
     lo, hi = np.finfo(np.float64).eps * top, 1e6 * top
     tol = 1e-10 * u_norm_sq
-    f_lo = residual_sq(factors, coeffs, floor_sq, lo)
-    f_hi = residual_sq(factors, coeffs, floor_sq, hi)
+    f_lo = residual_sq(lo)
+    f_hi = residual_sq(hi)
     if f_lo > target + tol or f_hi < target - tol:
         raise SolverError(
             "bracket exhausted",
@@ -236,7 +139,7 @@ def discrepancy_alpha(factors, u, delta_abs, method="tr"):
     for _ in range(300):
         log_mid = 0.5 * (log_lo + log_hi)
         alpha = float(np.exp(log_mid))
-        value = residual_sq(factors, coeffs, floor_sq, alpha)
+        value = residual_sq(alpha)
         if abs(value - target) <= tol:
             return alpha
         if value < target:
@@ -247,3 +150,95 @@ def discrepancy_alpha(factors, u, delta_abs, method="tr"):
         "bracket exhausted",
         "discrepancy bisection did not reach tolerance",
     )
+
+
+@dataclass(frozen=True)
+class TikhonovSpectrum:
+    """Spectral data of a Tikhonov-type operator at a fixed alpha."""
+
+    alpha: float
+    filter_factors: np.ndarray  # 1 / s_k over the numerical rank
+    cond: float                 # extreme ratio of the effective spectrum s
+
+
+# The Morozov variant reports the same fields.
+MorozovSpectrum = TikhonovSpectrum
+
+
+def tikhonov_spectrum(factors, alpha):
+    s = _alpha_spectrum(_tikhonov_values, factors, None, alpha=alpha)[0]
+    return TikhonovSpectrum(float(alpha), 1.0 / s, spectrum_cond(s))
+
+
+def tikhonov_solve(factors, u, alpha):
+    """Classical quadratic regularization in spectral form."""
+    return solve(factors, u, "tr", alpha=alpha)
+
+
+def morozov_spectrum(factors, alpha):
+    s = _alpha_spectrum(_morozov_values, factors, None, alpha=alpha)[0]
+    return MorozovSpectrum(float(alpha), 1.0 / s, spectrum_cond(s))
+
+
+def morozov_solve(factors, u, alpha):
+    """The doubly-damped regularization variant."""
+    return solve(factors, u, "morozov", alpha=alpha)
+
+
+def _mpm_spectrum(factors, coeffs, h):
+    """Quartic-filtered positive singular values at the level that spends
+    the matrix error budget ``h``."""
+    level, jumped = solve_level(h, factors.sigma)
+    return filtered_spectrum(factors.sigma[factors.sigma > 0.0], level), level, jumped
+
+
+# method -> (chooser, accepted parameters).  A chooser maps (factors, U^T u,
+# one parameter) to (effective spectrum, chosen parameter, jump_root).  The
+# first accepted parameter is the method's noise or matrix error bound.
+METHODS = {
+    "mpmi": (mpmi_spectrum, ("delta_abs",)),
+    "mpm": (_mpm_spectrum, ("h",)),
+    "tsvd": (_tsvd_spectrum, ("delta_abs", "rank")),
+    "tr": (partial(_alpha_spectrum, _tikhonov_values), ("delta_abs", "alpha")),
+    "morozov": (partial(_alpha_spectrum, _morozov_values), ("delta_abs", "alpha")),
+}
+
+
+def discrepancy_alpha(factors, u, delta_abs, method="tr"):
+    """Regularization parameter of ``method`` (tr or morozov) matching the
+    residual to the noise level."""
+    chooser, accepted = METHODS.get(method, (None, ()))
+    if "alpha" not in accepted:
+        raise InputError(f"unknown discrepancy method {method!r}")
+    return chooser(factors, factors.project_rhs(u), delta_abs=delta_abs)[1]
+
+
+def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
+    """Regularized solution of A z = u by ``method``, as a SolveReport.
+
+    ``a`` is the matrix or its precomputed :class:`SvdFactors`.  Exactly
+    one parameter that the method accepts must be given: ``delta_abs``,
+    the absolute noise bound on ``u`` (the method's own parameter is then
+    chosen by the discrepancy principle), ``rank`` (tsvd), ``alpha`` (tr,
+    morozov) or ``h``, the matrix error bound of mpm.  The parameters are
+    checked before anything is factorized.
+    """
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}")
+    chooser, accepted = METHODS[method]
+    given = {name: value for name, value in (
+        ("delta_abs", delta_abs), ("rank", rank), ("alpha", alpha), ("h", h),
+    ) if value is not None}
+    if len(given) != 1:
+        raise InputError(
+            f"exactly one parameter required, got {sorted(given) or 'none'}"
+        )
+    if not given.keys() <= set(accepted):
+        raise InputError(
+            f"method {method} does not accept {next(iter(given))} "
+            f"(allowed: {list(accepted)})"
+        )
+    factors = a if isinstance(a, SvdFactors) else svd(a)
+    coeffs = factors.project_rhs(u)
+    s, parameter, jumped = chooser(factors, coeffs, **given)
+    return spectral_report(factors, coeffs, method, s, parameter, jumped)

@@ -23,13 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    discrepancy_alpha,
-    morozov_solve,
-    tikhonov_solve,
-    tsvd_rank_by_discrepancy,
-    tsvd_solve,
-)
+from .baselines import METHODS, solve
 from .errors import InputError, SolverError
 from .experiments import (
     curve_csv,
@@ -38,7 +32,13 @@ from .experiments import (
     run_experiment,
     table_csv,
 )
-from .linalg import frobenius_norm, full_spectrum_cond, spectral_cond, svd
+from .linalg import (
+    frobenius_norm,
+    full_spectrum_cond,
+    spectral_cond,
+    spectrum_cond,
+    svd,
+)
 from .matio import (
     dump_matrix_csv,
     format_float,
@@ -48,7 +48,6 @@ from .matio import (
     write_vector,
 )
 from .mpm import minimal_pseudoinverse
-from .mpmi import mpmi_solve
 
 INLINE_SOLUTION_LIMIT = 1000
 
@@ -75,72 +74,16 @@ def _cmd_solve(args):
             f"matrix rows {matrix.shape[0]}"
         )
 
-    flags = {
-        "delta-rel": args.delta_rel,
-        "delta-abs": args.delta_abs,
-        "alpha": args.alpha,
-        "rank": args.rank,
-        "h": args.h,
-    }
-    given = [name for name, value in flags.items() if value is not None]
-    if len(given) != 1:
-        raise InputError(
-            f"exactly one parameter flag required, got {given or 'none'}"
-        )
-    allowed = {
-        "mpmi": {"delta-rel", "delta-abs"},
-        "tsvd": {"delta-rel", "delta-abs", "rank"},
-        "tr": {"delta-rel", "delta-abs", "alpha"},
-        "morozov": {"delta-rel", "delta-abs", "alpha"},
-        "mpm": {"h"},
-    }
-    if given[0] not in allowed[args.method]:
-        raise InputError(
-            f"method {args.method} does not accept --{given[0]} "
-            f"(allowed: {sorted(allowed[args.method])})"
-        )
-
-    if args.method == "mpm":
-        result = minimal_pseudoinverse(matrix, args.h)
-        solution = result.pinv @ rhs
-        spectrum = result.spectrum
-        live = spectrum.filtered_sigma > 0.0
-        report = {
-            "method": "mpm",
-            "parameter": spectrum.level,
-            "effective_rank": spectrum.rank,
-            "condition_number": float(
-                np.max(spectrum.filtered_sigma[live])
-                / np.min(spectrum.filtered_sigma[live])
-            ),
-            "residual": float(np.linalg.norm(matrix @ solution - rhs)),
-            "jump_root": spectrum.jumped,
-        }
-    else:
-        factors = svd(matrix)
-        delta_abs = args.delta_abs
-        if args.delta_rel is not None:
-            # the exact right side is unknown to a solver: scale by ||u||
-            delta_abs = args.delta_rel * float(np.linalg.norm(rhs))
-        if args.method == "mpmi":
-            solve_report = mpmi_solve(factors, rhs, delta_abs)
-        elif args.method == "tsvd":
-            rank = args.rank
-            if rank is None:
-                rank = tsvd_rank_by_discrepancy(factors, rhs, delta_abs)
-            solve_report = tsvd_solve(factors, rhs, rank)
-        elif args.method == "tr":
-            alpha = args.alpha
-            if alpha is None:
-                alpha = discrepancy_alpha(factors, rhs, delta_abs, method="tr")
-            solve_report = tikhonov_solve(factors, rhs, alpha)
-        else:
-            alpha = args.alpha
-            if alpha is None:
-                alpha = discrepancy_alpha(factors, rhs, delta_abs, method="morozov")
-            solve_report = morozov_solve(factors, rhs, alpha)
-        solution = solve_report.solution
-        report = solve_report.to_dict(solution_inline=False)
+    delta_abs = args.delta_abs
+    if args.delta_rel is not None:
+        if delta_abs is not None:
+            raise InputError("give one of --delta-rel and --delta-abs, not both")
+        # the exact right side is unknown to a solver: scale by ||u||
+        delta_abs = args.delta_rel * float(np.linalg.norm(rhs))
+    solve_report = solve(matrix, rhs, args.method, delta_abs=delta_abs,
+                         rank=args.rank, alpha=args.alpha, h=args.h)
+    solution = solve_report.solution
+    report = solve_report.to_dict(solution_inline=False)
 
     inline = len(solution) <= INLINE_SOLUTION_LIMIT or not args.out
     if inline:
@@ -164,16 +107,12 @@ def _cmd_pinv(args):
         raise InputError("--emit-matrix requires --out")
     result = minimal_pseudoinverse(matrix, args.h)
     spectrum = result.spectrum
-    live = spectrum.filtered_sigma > 0.0
     report = {
         "level": spectrum.level,
         "jump_root": spectrum.jumped,
         "rank": spectrum.rank,
         "distance": frobenius_norm(result.matrix - matrix),
-        "condition_number": float(
-            np.max(spectrum.filtered_sigma[live])
-            / np.min(spectrum.filtered_sigma[live])
-        ),
+        "condition_number": spectrum_cond(spectrum.filtered_sigma),
     }
     if args.out and args.emit_matrix:
         stem, ext = os.path.splitext(args.out)
@@ -264,7 +203,7 @@ def build_parser():
     p_solve.add_argument("--matrix", required=True, help="matrix file (CSV or MatrixMarket)")
     p_solve.add_argument("--rhs", required=True, help="right-hand side vector file")
     p_solve.add_argument("--method", required=True,
-                         choices=["mpmi", "mpm", "tsvd", "tr", "morozov"])
+                         choices=list(METHODS))
     p_solve.add_argument("--delta-rel", type=float,
                          help="relative noise level (scaled by ||u||)")
     p_solve.add_argument("--delta-abs", type=float, help="absolute noise bound")

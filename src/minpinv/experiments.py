@@ -17,18 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .baselines import (
-    discrepancy_alpha,
-    morozov_solve,
-    tikhonov_solve,
-    tsvd_rank_by_discrepancy,
-    tsvd_solve,
-)
+from .baselines import METHODS, solve
 from .errors import InputError, SolverError
 from .linalg import require_vector, svd
 from .matio import format_float
-from .mpm import apply_minimal_pseudoinverse
-from .mpmi import SolveReport, discrepancy_curve, mpmi_solve, residual_floor
+from .mpmi import discrepancy_curve
 
 __all__ = [
     "PoissonProblem",
@@ -45,7 +38,7 @@ __all__ = [
 
 DESK_SHAPE = (199, 201)
 FULL_SHAPE = (1991, 2001)
-KNOWN_METHODS = ("mpmi", "mpm", "tsvd", "tr", "morozov")
+KNOWN_METHODS = tuple(METHODS)
 
 
 @dataclass(frozen=True)
@@ -263,53 +256,6 @@ class ExperimentTable:
     records: tuple
 
 
-def _mpm_report(factors, u_delta, delta_abs):
-    """MPM baseline inside the harness: the noise bound doubles as the
-    matrix error budget (the matrix itself is exact here)."""
-    z, spectrum = apply_minimal_pseudoinverse(factors, delta_abs, u_delta)
-    coeffs = factors.project_rhs(u_delta)
-    big_m = len(factors.sigma)
-    theta_sigma = np.where(
-        spectrum.filtered_sigma > 0.0,
-        factors.sigma / np.where(spectrum.filtered_sigma > 0.0,
-                                 spectrum.filtered_sigma, 1.0),
-        0.0,
-    )
-    resid_sq = float(np.sum((theta_sigma - 1.0) ** 2 * coeffs[:big_m] ** 2))
-    resid_sq += float(np.sum(coeffs[big_m:] ** 2))
-    live = spectrum.filtered_sigma > 0.0
-    cond = float(
-        np.max(spectrum.filtered_sigma[live]) / np.min(spectrum.filtered_sigma[live])
-    )
-    return SolveReport(
-        solution=z,
-        method="mpm",
-        parameter=spectrum.level,
-        effective_rank=spectrum.rank,
-        condition_number=cond,
-        residual=float(np.sqrt(resid_sq)),
-        residual_floor=residual_floor(factors, u_delta),
-        jump_root=spectrum.jumped,
-    )
-
-
-def _run_method(method, factors, u_delta, delta_abs):
-    if method == "mpmi":
-        return mpmi_solve(factors, u_delta, delta_abs)
-    if method == "tsvd":
-        rank = tsvd_rank_by_discrepancy(factors, u_delta, delta_abs)
-        return tsvd_solve(factors, u_delta, rank)
-    if method == "tr":
-        alpha = discrepancy_alpha(factors, u_delta, delta_abs, method="tr")
-        return tikhonov_solve(factors, u_delta, alpha)
-    if method == "morozov":
-        alpha = discrepancy_alpha(factors, u_delta, delta_abs, method="morozov")
-        return morozov_solve(factors, u_delta, alpha)
-    if method == "mpm":
-        return _mpm_report(factors, u_delta, delta_abs)
-    raise InputError(f"unknown method {method!r}")
-
-
 def _aggregate(config, records):
     agg = np.median if config.aggregation == "median" else np.mean
     rows = []
@@ -361,7 +307,11 @@ def run_experiment(config, problem=None, factors=None, workers=1):
         out = []
         for method in config.methods:
             try:
-                report = _run_method(method, factors, u_delta, delta_abs)
+                # the noise bound goes in as the method's first parameter;
+                # for mpm it doubles as the matrix error budget (the matrix
+                # itself is exact here)
+                bound = METHODS[method][1][0]
+                report = solve(factors, u_delta, method, **{bound: delta_abs})
                 curve = None
                 if config.curve_points > 0 and method == "mpmi":
                     curve = discrepancy_curve(factors, u_delta,

@@ -197,14 +197,23 @@ def moore_penrose_check(a, a_plus):
     )
 
 
+def spectrum_cond(values):
+    """Extreme-value ratio max/min over the positive entries of a spectrum.
+
+    Zero entries are truncated indices and take no part; raises
+    "undefined condition number" when every entry is zero.
+    """
+    live = values[values > 0.0]
+    if live.size == 0:
+        raise SolverError(
+            "undefined condition number", "all spectrum entries are zero"
+        )
+    return float(np.max(live) / np.min(live))
+
+
 def spectral_cond(factors):
     """sigma_1 / sigma_r with r the numerical rank under the stored tolerance."""
-    r = factors.rank
-    if r < 1:
-        raise SolverError(
-            "undefined condition number", "matrix has numerical rank zero"
-        )
-    return float(factors.sigma[0] / factors.sigma[r - 1])
+    return spectrum_cond(factors.sigma[: factors.rank])
 
 
 def full_spectrum_cond(factors):

@@ -17,7 +17,6 @@ from . import _kernels
 from ._kernels import QUARTIC_MAX
 from .errors import InputError, SolverError
 from .linalg import (
-    apply_filtered_pinv,
     assemble_filtered_matrix,
     assemble_filtered_pinv,
     require_matrix,
@@ -35,6 +34,7 @@ __all__ = [
     "MpmResult",
     "minimal_pseudoinverse",
     "solve_generalized_root",
+    "ascending_breakpoints",
     "level_breakpoints",
 ]
 
@@ -89,7 +89,25 @@ def spectrum_distance_sq(level, sigma):
     return float(_kernels.spectrum_distance_sq(sigma, float(level)))
 
 
-def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, max_iter=200):
+def ascending_breakpoints(breaks, jumps):
+    """Distinct breakpoints in ascending order with their summed jumps.
+
+    ``breaks[k]`` and ``jumps[k]`` belong to index k; indices that share a
+    breakpoint add their jumps, in ascending index order among equals.
+    """
+    order = np.argsort(breaks, kind="stable")
+    merged_breaks, merged_jumps = [], []
+    for brk, jump in zip(np.asarray(breaks)[order].tolist(),
+                         np.asarray(jumps)[order].tolist()):
+        if merged_breaks and brk == merged_breaks[-1]:
+            merged_jumps[-1] += jump
+        else:
+            merged_breaks.append(brk)
+            merged_jumps.append(jump)
+    return merged_breaks, merged_jumps
+
+
+def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     """Generalized root of a nondecreasing left-continuous function.
 
     ``eval_fn`` is the (left-continuous) function of the level,
@@ -97,18 +115,20 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, max_iter=200
     ``jumps[i]`` the jump height at ``breaks[i]``.  Returns
     ``(level, jumped)`` where either the interior root satisfies
     |f(level) - target| <= tol_abs, or ``level`` is a breakpoint whose
-    left/right values sandwich the target.  The caller must ensure
-    f(0) < target < sup f.
+    left/right values sandwich the target, or the bisection bracket has
+    shrunk to two adjacent floats and ``level`` is its upper end, the
+    smallest level tried with f(level) >= target.  The caller must
+    ensure f(0) < target < sup f.
     """
     prev = 0.0
     for brk, jump in zip(breaks, jumps):
         left = eval_fn(brk)
         if target <= left:
             lo, hi = prev, brk
-            for _ in range(max_iter):
+            while True:
                 mid = 0.5 * (lo + hi)
                 if mid <= lo or mid >= hi:
-                    break
+                    return hi, False
                 val = eval_fn(mid)
                 if abs(val - target) <= tol_abs:
                     return mid, False
@@ -116,7 +136,6 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, max_iter=200
                     lo = mid
                 else:
                     hi = mid
-            return hi, False
         if target <= left + jump:
             return float(brk), True
         prev = brk
@@ -143,18 +162,10 @@ def solve_level(matrix_error, sigma):
             "error level exceeds matrix energy",
             f"error^2 {target} >= total {total_energy}",
         )
-    breaks_all = level_breakpoints(positive)
-    order = np.argsort(breaks_all, kind="stable")
-    breaks, jumps = [], []
-    for idx in order:
-        brk = float(breaks_all[idx])
-        # (3/2 rho - rho)^2 = rho^2/4 flips to rho^2 past the breakpoint
-        jump = 0.75 * float(positive[idx]) ** 2
-        if breaks and brk == breaks[-1]:
-            jumps[-1] += jump
-        else:
-            breaks.append(brk)
-            jumps.append(jump)
+    # (3/2 rho - rho)^2 = rho^2/4 flips to rho^2 past the breakpoint
+    breaks, jumps = ascending_breakpoints(
+        level_breakpoints(positive), 0.75 * (positive * positive)
+    )
 
     def distance(level):
         return float(_kernels.spectrum_distance_sq(sigma, level))
@@ -219,18 +230,3 @@ def minimal_pseudoinverse(a, matrix_error, factors=None):
         spectrum=spectrum,
     )
 
-
-def apply_minimal_pseudoinverse(factors, matrix_error, u):
-    """Solve with the minimal pseudoinverse without materializing it."""
-    u = require_vector(u, "right-hand side")
-    level, jumped = solve_level(matrix_error, factors.sigma)
-    filtered = filtered_spectrum(factors.sigma, level)
-    z = apply_filtered_pinv(factors, filtered, u)
-    spectrum = MpmSpectrum(
-        sigma=factors.sigma,
-        level_breaks=level_breakpoints(factors.sigma),
-        level=level,
-        filtered_sigma=filtered,
-        jumped=jumped,
-    )
-    return z, spectrum

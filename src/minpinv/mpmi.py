@@ -14,14 +14,14 @@ improvement is at least one and a half fold on the surviving block.
 ``MpmiFilterFamily`` is the shipped instance.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels
 from .errors import InputError, SolverError
-from .linalg import SvdFactors, apply_filtered_pinv, require_vector, svd
-from .mpm import level_breakpoints, solve_generalized_root
+from .linalg import SvdFactors, spectrum_cond, svd
+from .mpm import ascending_breakpoints, level_breakpoints, solve_generalized_root
 
 __all__ = [
     "FilterFamily",
@@ -34,6 +34,10 @@ __all__ = [
     "solve_filter_level",
     "filtered_condition_number",
     "SolveReport",
+    "head_residual_sq",
+    "spectral_report",
+    "discrepancy_target",
+    "mpmi_spectrum",
     "mpmi_solve",
 ]
 
@@ -123,9 +127,8 @@ def discrepancy_sq(level, factors, coeffs, family):
     rank = family.rank
     if level < 0.0:
         raise InputError("filter level must be nonnegative")
-    head_sq = coeffs[:rank] ** 2
-    theta = family.theta_values(level)
-    head = float(np.sum((1.0 - theta) ** 2 * head_sq))
+    s = family.sigma * family.x_values(level)
+    head = head_residual_sq(family.sigma, s, coeffs[:rank] ** 2)
     tail = coeffs[rank:]
     return head + float(np.sum(tail * tail))
 
@@ -144,23 +147,13 @@ class DiscrepancyCurve:
 
 
 def _ascending_breaks(family, coeffs_sq):
-    """Deduplicated ascending breakpoints with squared-coefficient jumps.
+    """Distinct ascending breakpoints with squared-coefficient jumps.
 
     theta drops from 1/upper_bound to 0 at each breakpoint, so index k
     jumps by (1 - (1 - 1/c_k)^2) * v_k^2.
     """
-    order = np.argsort(family.breaks, kind="stable")
-    breaks, jumps = [], []
-    for idx in order:
-        brk = float(family.breaks[idx])
-        edge = 1.0 - 1.0 / float(family.upper_bounds[idx])
-        jump = (1.0 - edge * edge) * float(coeffs_sq[idx])
-        if breaks and brk == breaks[-1]:
-            jumps[-1] += jump
-        else:
-            breaks.append(brk)
-            jumps.append(jump)
-    return breaks, jumps
+    edge = 1.0 - 1.0 / family.upper_bounds
+    return ascending_breakpoints(family.breaks, (1.0 - edge * edge) * coeffs_sq)
 
 
 def discrepancy_curve(factors, u, family=None, num=257):
@@ -199,29 +192,32 @@ def discrepancy_curve(factors, u, family=None, num=257):
     )
 
 
-def solve_filter_level(factors, u, delta_abs, family=None, with_curve=True):
-    """Generalized root of: squared residual = delta_abs^2 + floor^2.
+def discrepancy_target(coeffs, rank, delta_abs):
+    """Discrepancy target delta_abs^2 + floor^2 for right-hand side
+    coordinates ``coeffs`` = U^T u, the floor being the coordinate tail
+    past ``rank``.
 
-    Returns ``(level, curve, jumped)``; ``curve`` is None when
-    ``with_curve`` is False.  Raises "noise dominates signal" when the
-    target reaches the plateau ||u||^2.
+    Returns ``(target, floor_sq, u_norm_sq)``.  Raises "noise dominates
+    signal" when the target reaches the plateau ||u||^2.
     """
     if delta_abs <= 0.0:
         raise InputError("noise bound must be positive")
-    u = require_vector(u, "right-hand side")
-    coeffs = factors.project_rhs(u)
-    if family is None:
-        family = MpmiFilterFamily(factors.sigma, factors.rank)
-    rank = family.rank
-    coeffs_sq = coeffs[:rank] ** 2
     floor_sq = float(np.sum(coeffs[rank:] ** 2))
-    u_norm_sq = float(u @ u)
+    u_norm_sq = float(np.sum(coeffs * coeffs))
     target = delta_abs * delta_abs + floor_sq
     if target >= u_norm_sq:
         raise SolverError(
             "noise dominates signal",
             f"target residual^2 {target} >= ||u||^2 {u_norm_sq}",
         )
+    return target, floor_sq, u_norm_sq
+
+
+def _filter_level(factors, coeffs, delta_abs, family):
+    """``(level, jumped)`` of the discrepancy equation for U^T u = ``coeffs``."""
+    rank = family.rank
+    target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
+    coeffs_sq = coeffs[:rank] ** 2
     breaks, jumps = _ascending_breaks(family, coeffs_sq)
 
     if isinstance(family, MpmiFilterFamily):
@@ -234,9 +230,22 @@ def solve_filter_level(factors, u, delta_abs, family=None, with_curve=True):
         def total(level):
             return discrepancy_sq(level, factors, coeffs, family)
 
-    level, jumped = solve_generalized_root(
+    return solve_generalized_root(
         total, breaks, jumps, target, tol_abs=1e-12 * u_norm_sq
     )
+
+
+def solve_filter_level(factors, u, delta_abs, family=None, with_curve=True):
+    """Generalized root of: squared residual = delta_abs^2 + floor^2.
+
+    Returns ``(level, curve, jumped)``; ``curve`` is None when
+    ``with_curve`` is False.  Raises "noise dominates signal" when the
+    target reaches the plateau ||u||^2.
+    """
+    coeffs = factors.project_rhs(u)
+    if family is None:
+        family = MpmiFilterFamily(factors.sigma, factors.rank)
+    level, jumped = _filter_level(factors, coeffs, delta_abs, family)
     curve = discrepancy_curve(factors, u, family) if with_curve else None
     return level, curve, jumped
 
@@ -247,15 +256,7 @@ def filtered_condition_number(factors, family, level):
     The quartic inflation preserves nonincreasing order, so this equals
     the first-to-last ratio of the surviving block.
     """
-    x = family.x_values(level)
-    filtered = family.sigma * x
-    live = filtered > 0.0
-    if not np.any(live):
-        raise SolverError(
-            "undefined condition number", "all filtered singular values are zero"
-        )
-    live_vals = filtered[live]
-    return float(np.max(live_vals) / np.min(live_vals))
+    return spectrum_cond(family.sigma * family.x_values(level))
 
 
 @dataclass(frozen=True)
@@ -287,6 +288,54 @@ class SolveReport:
         return out
 
 
+def head_residual_sq(sigma, s, coeffs_sq):
+    """Sum over k of (1 - sigma_k / s_k)^2 * coeffs_sq[k].
+
+    ``s`` is an effective spectrum over the same indices as ``sigma``;
+    an index with s_k = 0 is truncated and contributes coeffs_sq[k] in
+    full.  This is the squared residual of z = V (c / s) on those indices.
+    """
+    ratio = np.divide(sigma, s, out=np.zeros(len(s)), where=s > 0.0)
+    return float(np.sum((1.0 - ratio) ** 2 * coeffs_sq))
+
+
+def spectral_report(factors, coeffs, method, s, parameter, jump_root=False):
+    """The :class:`SolveReport` of z = V (c / s) for an effective spectrum.
+
+    ``coeffs`` are U^T u.  ``s`` covers the leading r = len(s) indices;
+    s_k = 0 truncates index k and every index past r is truncated.  The
+    residual, effective rank #(s > 0), condition number max/min(s > 0)
+    and residual floor all come from ``coeffs``, with no second
+    projection.
+    """
+    r = len(s)
+    head = coeffs[:r]
+    resid_sq = head_residual_sq(factors.sigma[:r], s, head * head)
+    resid_sq += float(np.sum(coeffs[r:] ** 2))
+    floor = coeffs[factors.rank:]
+    return SolveReport(
+        solution=factors.v[:, :r] @ np.divide(head, s, out=np.zeros(r), where=s > 0.0),
+        method=method,
+        parameter=parameter,
+        effective_rank=int(np.sum(s > 0.0)),
+        condition_number=spectrum_cond(s),
+        residual=float(np.sqrt(resid_sq)),
+        residual_floor=float(np.sqrt(np.sum(floor * floor))),
+        jump_root=bool(jump_root),
+    )
+
+
+def mpmi_spectrum(factors, coeffs, delta_abs):
+    """Effective spectrum sigma_k x_k(h) over the numerical rank, at the
+    filter level h that the discrepancy principle picks for ``coeffs``.
+
+    Returns ``(s, level, jumped)``.
+    """
+    family = MpmiFilterFamily(factors.sigma, factors.rank)
+    level, jumped = _filter_level(factors, coeffs, delta_abs, family)
+    return family.sigma * family.x_values(level), level, jumped
+
+
 def mpmi_solve(a, u, delta_abs, with_curve=False):
     """Full pipeline: filter level by discrepancy, then filtered solve.
 
@@ -294,27 +343,9 @@ def mpmi_solve(a, u, delta_abs, with_curve=False):
     ``delta_abs`` is the absolute noise bound on ``u``.
     """
     factors = a if isinstance(a, SvdFactors) else svd(a)
-    u = require_vector(u, "right-hand side")
-    family = MpmiFilterFamily(factors.sigma, factors.rank)
-    level, curve, jumped = solve_filter_level(
-        factors, u, delta_abs, family, with_curve=with_curve
-    )
-    x = family.x_values(level)
-    filtered = np.zeros(len(factors.sigma))
-    filtered[: family.rank] = family.sigma * x
-    z = apply_filtered_pinv(factors, filtered, u)
     coeffs = factors.project_rhs(u)
-    theta = family.theta_values(level)
-    head = float(np.sum((1.0 - theta) ** 2 * coeffs[: family.rank] ** 2))
-    floor = residual_floor(factors, u)
-    return SolveReport(
-        solution=z,
-        method="mpmi",
-        parameter=level,
-        effective_rank=int(np.sum(x > 0.0)),
-        condition_number=filtered_condition_number(factors, family, level),
-        residual=float(np.sqrt(head + floor * floor)),
-        residual_floor=floor,
-        jump_root=jumped,
-        curve=curve,
-    )
+    s, level, jumped = mpmi_spectrum(factors, coeffs, delta_abs)
+    report = spectral_report(factors, coeffs, "mpmi", s, level, jumped)
+    if with_curve:
+        report = replace(report, curve=discrepancy_curve(factors, u))
+    return report

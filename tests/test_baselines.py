@@ -8,6 +8,7 @@ from minpinv.baselines import (
     discrepancy_alpha,
     morozov_solve,
     morozov_spectrum,
+    solve,
     tikhonov_solve,
     tikhonov_spectrum,
     tsvd_rank_by_discrepancy,
@@ -235,3 +236,31 @@ class TestDiscrepancyAlpha:
         f = svd(np.diag([1.0]))
         with pytest.raises(InputError):
             discrepancy_alpha(f, np.array([2.0]), 0.5, method="lcurve")
+
+
+class TestSolveDispatch:
+    def test_parameters_checked_before_factorizing(self):
+        # the zero matrix cannot be factorized, so these errors can only
+        # come from the parameter check
+        zero = np.zeros((2, 2))
+        with pytest.raises(InputError, match="does not accept"):
+            solve(zero, np.ones(2), "mpm", delta_abs=0.1)
+        with pytest.raises(InputError, match="exactly one"):
+            solve(zero, np.ones(2), "tr", delta_abs=0.1, alpha=1.0)
+        with pytest.raises(InputError, match="exactly one"):
+            solve(zero, np.ones(2), "tsvd")
+        with pytest.raises(InputError, match="unknown method"):
+            solve(zero, np.ones(2), "lcurve", delta_abs=0.1)
+
+    def test_discrepancy_choice_matches_two_steps(self, rng):
+        a = oracles.rank_matrix(rng, 9, 6, 5)
+        f = svd(a)
+        u = rng.standard_normal(9)
+        delta = 0.5 * float(np.sqrt(u @ u - residual_floor(f, u) ** 2))
+        for method, solver in (("tr", tikhonov_solve), ("morozov", morozov_solve)):
+            one = solve(f, u, method, delta_abs=delta)
+            two = solver(f, u, discrepancy_alpha(f, u, delta, method=method))
+            assert one.parameter == two.parameter
+            np.testing.assert_array_equal(one.solution, two.solution)
+        one = solve(f, u, "tsvd", delta_abs=delta)
+        assert one.parameter == tsvd_rank_by_discrepancy(f, u, delta)

@@ -6,9 +6,12 @@ import os
 import numpy as np
 import pytest
 
+from minpinv.baselines import METHODS
 from minpinv.cli import main
+from minpinv.experiments import ExperimentConfig, build_poisson, perturb_rhs, run_experiment
 from minpinv.linalg import svd
 from minpinv.matio import load_matrix_csv, read_matrix, write_matrix, write_vector
+from minpinv.mpm import spectrum_distance_sq
 
 
 @pytest.fixture
@@ -71,6 +74,23 @@ class TestSolve:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_mpm_with_h(self, system_files, capsys):
+        a, u, matrix_path, rhs_path = system_files
+        h = 0.2 * float(np.linalg.norm(a))
+        code, out, _ = run_cli(
+            capsys, "solve", "--matrix", matrix_path, "--rhs", rhs_path,
+            "--method", "mpm", "--h", repr(h),
+        )
+        assert code == 0
+        report = json.loads(out)
+        z = np.array(report["solution"])
+        assert report["residual"] == pytest.approx(
+            float(np.linalg.norm(a @ z - u)), rel=1e-9)
+        # the level root is found to within 1e-12 of the squared budget
+        distance_sq = spectrum_distance_sq(report["parameter"], svd(a).sigma)
+        assert distance_sq <= h * h * (1 + 1e-12)
+        assert report["residual_floor"] <= 1e-12 * float(np.linalg.norm(u))
 
     def test_exactly_one_parameter_flag(self, system_files, capsys):
         _, _, matrix_path, rhs_path = system_files
@@ -167,6 +187,38 @@ class TestSolve:
         report = json.loads(out_path.read_text())
         assert report["method"] == "morozov"
         assert len(report["solution"]) == 4
+
+
+class TestOneSolvePath:
+    def test_cli_report_equals_harness_record(self, tmp_path, capsys):
+        # the CLI and the harness dispatch through the same solve, so with
+        # the same matrix bits, right side and noise bound every reported
+        # number is bit-equal
+        delta, seed = 0.05, 3
+        config = ExperimentConfig(m=24, n=26, deltas=(delta,), seeds=(seed,),
+                                  methods=tuple(METHODS))
+        problem = build_poisson(config.m, config.n, config.h0)
+        records = run_experiment(config, problem=problem).records
+        u = perturb_rhs(problem.exact_rhs, delta, seed)
+        delta_abs = delta * float(np.linalg.norm(problem.exact_rhs))
+        write_matrix(tmp_path / "a.csv", problem.matrix)
+        write_vector(tmp_path / "u.csv", u)
+        assert [r.method for r in records] == list(METHODS)
+        for record in records:
+            assert record.error is None
+            flag = "--h" if record.method == "mpm" else "--delta-abs"
+            code, out, _ = run_cli(
+                capsys, "solve", "--matrix", str(tmp_path / "a.csv"),
+                "--rhs", str(tmp_path / "u.csv"), "--method", record.method,
+                flag, repr(delta_abs),
+            )
+            assert code == 0
+            report = json.loads(out)
+            assert float(report["parameter"]) == record.parameter
+            assert report["effective_rank"] == record.effective_rank
+            assert report["jump_root"] == record.jump_root
+            assert report["condition_number"] == record.condition_number
+            assert report["residual"] == record.residual
 
 
 class TestPinv:

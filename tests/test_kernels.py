@@ -35,6 +35,16 @@ class TestQuarticRoots:
         x = _kernels.quartic_roots(t)
         assert np.all(np.diff(x) >= 0.0)
 
+    def test_matches_companion_roots(self):
+        # the one real root in [1, 3/2] of x**4 - x**3 - t, from numpy.roots
+        t = np.linspace(0.0, QUARTIC_TOP, 257)
+        x = _kernels.quartic_roots(t)
+        for ti, xi in zip(t, x):
+            roots = np.roots([1.0, -1.0, 0.0, 0.0, -ti])
+            real = roots[np.abs(roots.imag) <= 1e-12].real
+            (ref,) = real[(real >= 1.0 - 1e-12) & (real <= 1.5 + 1e-12)]
+            assert abs(xi - ref) <= 1e-13
+
 
 class TestFilterX:
     def test_branches(self):

@@ -14,6 +14,7 @@ from minpinv.mpm import (
     filtered_spectrum,
     minimal_pseudoinverse,
     quartic_root,
+    solve_generalized_root,
     solve_level,
     spectrum_distance_sq,
 )
@@ -172,6 +173,16 @@ class TestSolveLevel:
     def test_bad_inputs(self):
         with pytest.raises(InputError):
             solve_level(0.0, np.array([1.0]))
+
+
+class TestGeneralizedRoot:
+    def test_bisects_to_float_resolution(self):
+        # f(L) = L below the breakpoint 1: the root 1e-300 lies about a
+        # thousand halvings down and no tolerance is ever met, so the
+        # bisection must run until its bracket is two adjacent floats
+        level, jumped = solve_generalized_root(lambda lv: lv, [1.0], [1.0], 1e-300, 0.0)
+        assert not jumped
+        assert abs(level - 1e-300) <= np.spacing(1e-300)
 
 
 class TestMinimalPseudoinverse:
