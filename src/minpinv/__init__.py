@@ -9,7 +9,6 @@ baselines, a model-problem experiment harness, and a CLI.
 
 __version__ = "0.1.0"
 
-from ._kernels import USING_NUMBA
 from .baselines import (
     discrepancy_alpha,
     morozov_solve,
@@ -66,7 +65,6 @@ from .mpmi import (
 
 __all__ = [
     "__version__",
-    "USING_NUMBA",
     "InputError",
     "SolverError",
     "solve",

@@ -108,8 +108,8 @@ def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
     sigma = factors.sigma[: factors.rank]
     if alpha is None:
         alpha = _alpha_by_discrepancy(values, sigma, coeffs, delta_abs)
-    if alpha <= 0.0:
-        raise InputError("regularization parameter must be positive")
+    if not 0.0 < alpha < np.inf:
+        raise InputError("regularization parameter must be positive and finite")
     return values(sigma, alpha), float(alpha), False
 
 

@@ -27,7 +27,6 @@ from .linalg import (
 __all__ = [
     "QUARTIC_MAX",
     "quartic_root",
-    "filtered_sigma_value",
     "spectrum_distance_sq",
     "solve_level",
     "MpmSpectrum",
@@ -43,7 +42,7 @@ def quartic_root(t):
     """The unique x in [1, 3/2] with x**4 - x**3 = t, for t in [0, 27/16]."""
     if not 0.0 <= t <= QUARTIC_MAX:
         raise InputError(f"quartic right side {t} outside [0, 27/16]")
-    return float(_kernels.quartic_roots(_kernels.as_kernel_array([t]))[0])
+    return float(_kernels.quartic_roots([t])[0])
 
 
 def level_breakpoints(sigma):
@@ -57,34 +56,19 @@ def level_breakpoints(sigma):
     return QUARTIC_MAX * (sigma * sigma * sigma * sigma)
 
 
-def filtered_sigma_value(rho, level):
-    """One filtered singular value: rho * x at or below its breakpoint, else 0.
-
-    At the breakpoint exactly the nonzero (left-continuous) branch is
-    taken, giving rho * 3/2.
-    """
-    if rho <= 0.0:
-        raise InputError("singular value must be positive")
-    if level < 0.0:
-        raise InputError("filter level must be nonnegative")
-    return rho * float(
-        _kernels.filter_x(_kernels.as_kernel_array([rho]), float(level))[0]
-    )
-
-
 def _check_spectrum(sigma):
     sigma = require_vector(sigma, "spectrum")
     if np.any(sigma < 0.0):
         raise InputError("spectrum entries must be nonnegative")
     if np.any(np.diff(sigma) > 0.0):
         raise InputError("spectrum must be nonincreasing")
-    return _kernels.as_kernel_array(sigma)
+    return sigma
 
 
 def spectrum_distance_sq(level, sigma):
     """Squared Frobenius distance between filtered and original spectrum."""
     sigma = _check_spectrum(sigma)
-    if level < 0.0:
+    if not level >= 0.0:
         raise InputError("filter level must be nonnegative")
     return float(_kernels.spectrum_distance_sq(sigma, float(level)))
 
@@ -151,7 +135,7 @@ def solve_level(matrix_error, sigma):
     Returns ``(level, jumped)``.  Raises when the squared budget reaches
     the total spectral energy (total annihilation).
     """
-    if matrix_error <= 0.0:
+    if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
     sigma = _check_spectrum(sigma)
     positive = sigma[sigma > 0.0]
@@ -199,9 +183,8 @@ class MpmResult:
 
 def filtered_spectrum(sigma, level):
     """Filtered singular values sigma_k * x_k(level) as an array."""
-    sigma = _kernels.as_kernel_array(sigma)
-    x = _kernels.filter_x(sigma, float(level))
-    return sigma * x
+    sigma = np.asarray(sigma, dtype=np.float64)
+    return sigma * _kernels.filter_x(sigma, float(level))
 
 
 def minimal_pseudoinverse(a, matrix_error, factors=None):

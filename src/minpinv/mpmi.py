@@ -78,7 +78,7 @@ class MpmiFilterFamily(FilterFamily):
     """Quartic inflation law: x solves x**4 - x**3 = h / sigma_k**4."""
 
     def __init__(self, sigma, rank=None):
-        sigma = _kernels.as_kernel_array(sigma)
+        sigma = np.asarray(sigma, dtype=np.float64)
         if rank is None:
             rank = int(np.sum(sigma > 0.0))
         if rank < 1 or rank > len(sigma):
@@ -92,18 +92,18 @@ class MpmiFilterFamily(FilterFamily):
         self.slopes = self.sigma ** -4.0
 
     def x_values(self, level):
-        if level < 0.0:
+        if not level >= 0.0:
             raise InputError("filter level must be nonnegative")
         return _kernels.filter_x(self.sigma, float(level))
 
 
 def mpmi_x(rho, level):
     """Scalar quartic filter factor for one singular value."""
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise InputError("singular value must be positive")
-    if level < 0.0:
+    if not level >= 0.0:
         raise InputError("filter level must be nonnegative")
-    return float(_kernels.filter_x(_kernels.as_kernel_array([rho]), float(level))[0])
+    return float(_kernels.filter_x([rho], float(level))[0])
 
 
 def residual_floor(factors, u):
@@ -125,7 +125,7 @@ def discrepancy_sq(level, factors, coeffs, family):
     unreachable by any filter.
     """
     rank = family.rank
-    if level < 0.0:
+    if not level >= 0.0:
         raise InputError("filter level must be nonnegative")
     s = family.sigma * family.x_values(level)
     head = head_residual_sq(family.sigma, s, coeffs[:rank] ** 2)
@@ -167,16 +167,9 @@ def discrepancy_curve(factors, u, family=None, num=257):
     breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
     top = breaks[-1]
     levels = np.concatenate([[0.0], np.geomspace(breaks[0] * 1e-3, top * 1.05, num - 1)])
-    if isinstance(family, MpmiFilterFamily):
-        heads = _kernels.discrepancy_head_sq_grid(
-            family.sigma, _kernels.as_kernel_array(coeffs[:rank] ** 2),
-            _kernels.as_kernel_array(levels),
-        )
-        values = heads + floor_sq
-    else:
-        values = np.array(
-            [discrepancy_sq(float(lv), factors, coeffs, family) for lv in levels]
-        )
+    values = np.array(
+        [discrepancy_sq(float(lv), factors, coeffs, family) for lv in levels]
+    )
     lefts = np.array(
         [discrepancy_sq(b, factors, coeffs, family) for b in breaks]
     )
@@ -200,7 +193,7 @@ def discrepancy_target(coeffs, rank, delta_abs):
     Returns ``(target, floor_sq, u_norm_sq)``.  Raises "noise dominates
     signal" when the target reaches the plateau ||u||^2.
     """
-    if delta_abs <= 0.0:
+    if not delta_abs > 0.0:
         raise InputError("noise bound must be positive")
     floor_sq = float(np.sum(coeffs[rank:] ** 2))
     u_norm_sq = float(np.sum(coeffs * coeffs))
@@ -216,19 +209,11 @@ def discrepancy_target(coeffs, rank, delta_abs):
 def _filter_level(factors, coeffs, delta_abs, family):
     """``(level, jumped)`` of the discrepancy equation for U^T u = ``coeffs``."""
     rank = family.rank
-    target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
-    coeffs_sq = coeffs[:rank] ** 2
-    breaks, jumps = _ascending_breaks(family, coeffs_sq)
+    target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
+    breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
 
-    if isinstance(family, MpmiFilterFamily):
-        sig = family.sigma
-        vsq = _kernels.as_kernel_array(coeffs_sq)
-
-        def total(level):
-            return float(_kernels.discrepancy_head_sq(sig, vsq, level)) + floor_sq
-    else:
-        def total(level):
-            return discrepancy_sq(level, factors, coeffs, family)
+    def total(level):
+        return discrepancy_sq(level, factors, coeffs, family)
 
     return solve_generalized_root(
         total, breaks, jumps, target, tol_abs=1e-12 * u_norm_sq

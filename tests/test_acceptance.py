@@ -46,7 +46,7 @@ def report(number, ok, detail):
 def test_criterion_1_quartic_kernel():
     rng = np.random.default_rng(1)
     t = rng.uniform(0.0, QUARTIC_MAX, 10_000)
-    _kernels.quartic_roots(t[:8])  # JIT warmup outside the timed region
+    _kernels.quartic_roots(t[:8])  # warm-up outside the timed region
     start = time.perf_counter()
     x = _kernels.quartic_roots(t)
     elapsed = time.perf_counter() - start
@@ -119,15 +119,15 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
     u = perturb_rhs(desk_problem.exact_rhs, 0.05, seed=rng_seed)
     family = MpmiFilterFamily(desk_factors.sigma, desk_factors.rank)
     coeffs = desk_factors.project_rhs(u)
-    coeffs_sq = _kernels.as_kernel_array(coeffs[: family.rank] ** 2)
     floor_sq = residual_floor(desk_factors, u) ** 2
     u_sq = float(u @ u)
 
     top = float(family.breaks[0])
     levels = np.linspace(0.0, 1.05 * top, 10_000)
-    values = _kernels.discrepancy_head_sq_grid(
-        family.sigma, coeffs_sq, _kernels.as_kernel_array(levels)
-    ) + floor_sq
+    values = np.array([
+        discrepancy_sq(float(level), desk_factors, coeffs, family)
+        for level in levels
+    ])
 
     nondecreasing = bool(np.all(np.diff(values) >= -1e-10 * u_sq))
     starts_at_floor = abs(values[0] - floor_sq) <= 1e-12 * max(floor_sq, u_sq)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from minpinv.baselines import (
+    METHODS,
     discrepancy_alpha,
     morozov_solve,
     morozov_spectrum,
@@ -17,7 +18,8 @@ from minpinv.baselines import (
 )
 from minpinv.errors import InputError, SolverError
 from minpinv.linalg import spectral_cond, svd
-from minpinv.mpmi import residual_floor
+from minpinv.mpm import spectrum_distance_sq
+from minpinv.mpmi import MpmiFilterFamily, discrepancy_sq, mpmi_x, residual_floor
 
 
 class TestTsvdRankByDiscrepancy:
@@ -264,3 +266,38 @@ class TestSolveDispatch:
             np.testing.assert_array_equal(one.solution, two.solution)
         one = solve(f, u, "tsvd", delta_abs=delta)
         assert one.parameter == tsvd_rank_by_discrepancy(f, u, delta)
+
+
+METHOD_PARAMETERS = [(method, name) for method, (_, accepted) in METHODS.items()
+                     for name in accepted]
+
+
+class TestNanParameters:
+    """A NaN parameter fails every sign check instead of slipping past it."""
+
+    @pytest.mark.parametrize("method,name", METHOD_PARAMETERS)
+    def test_nan_parameter_rejected(self, method, name, rng):
+        a = rng.standard_normal((5, 4)) + 4.0 * np.eye(5, 4)
+        with pytest.raises(InputError):
+            solve(a, rng.standard_normal(5), method, **{name: float("nan")})
+
+    @pytest.mark.parametrize("method", ["tr", "morozov"])
+    def test_infinite_alpha_rejected(self, method, rng):
+        a = rng.standard_normal((5, 4)) + 4.0 * np.eye(5, 4)
+        with pytest.raises(InputError):
+            solve(a, rng.standard_normal(5), method, alpha=float("inf"))
+
+    def test_nan_level_rejected(self):
+        nan = float("nan")
+        f = svd(np.diag([2.0, 1.0]))
+        family = MpmiFilterFamily(f.sigma, f.rank)
+        with pytest.raises(InputError):
+            mpmi_x(1.0, nan)
+        with pytest.raises(InputError):
+            mpmi_x(nan, 1.0)
+        with pytest.raises(InputError):
+            spectrum_distance_sq(nan, np.array([2.0, 1.0]))
+        with pytest.raises(InputError):
+            family.x_values(nan)
+        with pytest.raises(InputError):
+            discrepancy_sq(nan, f, f.project_rhs(np.ones(2)), family)

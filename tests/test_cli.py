@@ -105,6 +105,21 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--method", "tsvd", "--delta-abs", "nan"),
+        ("--method", "mpmi", "--delta-rel", "nan"),
+        ("--method", "tr", "--alpha", "nan"),
+        ("--method", "mpm", "--h", "nan"),
+    ])
+    def test_nan_parameter_exit_2(self, system_files, capsys, flags):
+        _, _, matrix_path, rhs_path = system_files
+        code, out, err = run_cli(
+            capsys, "solve", "--matrix", matrix_path, "--rhs", rhs_path, *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_parse_error_exit_2(self, tmp_path, system_files, capsys):
         _, _, _, rhs_path = system_files
         bad = tmp_path / "bad.csv"

@@ -1,8 +1,8 @@
 """The filter-family abstraction with a non-quartic member.
 
-A linear-inflation family exercises the generic evaluation paths of the
-root finder and the curve sampler (the quartic family takes a kernel
-fast path), and repeated singular values exercise breakpoint merging.
+A linear-inflation family exercises the root finder and the curve
+sampler through nothing but the family contract, and repeated singular
+values exercise breakpoint merging.
 """
 
 import numpy as np

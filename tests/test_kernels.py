@@ -1,7 +1,6 @@
-"""Kernel correctness and numba/numpy path agreement."""
+"""Kernel correctness: quartic roots, filter factors, distance, kernel fill."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,13 +73,6 @@ class TestDistanceAndDiscrepancy:
         sigma = np.array([1.0])
         assert _kernels.spectrum_distance_sq(sigma, 2.0) == 1.0
 
-    def test_discrepancy_saturates(self):
-        sigma = np.array([1.0])
-        v_sq = np.array([4.0])
-        assert _kernels.discrepancy_head_sq(sigma, v_sq, 2.0) == 4.0
-        at_break = _kernels.discrepancy_head_sq(sigma, v_sq, QUARTIC_TOP)
-        assert at_break == pytest.approx(4.0 / 9.0, rel=1e-14)
-
 
 class TestPoissonKernel:
     def test_matches_formula(self):
@@ -89,41 +81,3 @@ class TestPoissonKernel:
         out = _kernels.poisson_kernel(x, y, 0.1)
         expected = 1.0 / ((x[:, None] - y[None, :]) ** 2 + 0.1 * 0.1)
         np.testing.assert_array_equal(out, expected)
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba path inactive")
-class TestPathAgreement:
-    """The jit kernels and the numpy fallbacks must agree closely."""
-
-    def test_quartic(self, rng):
-        t = rng.uniform(0.0, QUARTIC_TOP, 4096)
-        jit = _kernels.quartic_roots_numba(t)
-        ref = _kernels.quartic_roots_numpy(t)
-        np.testing.assert_allclose(jit, ref, rtol=0.0, atol=1e-14)
-
-    def test_filter_and_sums(self, rng):
-        sigma = np.sort(rng.uniform(1e-3, 10.0, 64))[::-1].copy()
-        v_sq = rng.uniform(0.0, 4.0, 64)
-        levels = np.concatenate([
-            [0.0], np.geomspace(1e-12, 2.0 * QUARTIC_TOP * sigma[0] ** 4, 200),
-        ])
-        for level in levels[::7]:
-            np.testing.assert_allclose(
-                _kernels.filter_x_numba(sigma, level),
-                _kernels.filter_x_numpy(sigma, level),
-                rtol=0.0, atol=1e-14,
-            )
-        jit_d = _kernels.spectrum_distance_sq_grid_numba(sigma, levels)
-        ref_d = _kernels.spectrum_distance_sq_grid_numpy(sigma, levels)
-        np.testing.assert_allclose(jit_d, ref_d, rtol=1e-12)
-        jit_b = _kernels.discrepancy_head_sq_grid_numba(sigma, v_sq, levels)
-        ref_b = _kernels.discrepancy_head_sq_grid_numpy(sigma, v_sq, levels)
-        np.testing.assert_allclose(jit_b, ref_b, rtol=1e-12)
-
-    def test_poisson(self):
-        x = np.linspace(-1.0, 1.0, 31)
-        y = np.linspace(-1.0, 1.0, 33)
-        np.testing.assert_array_equal(
-            _kernels.poisson_kernel_numba(x, y, 0.1),
-            _kernels.poisson_kernel_numpy(x, y, 0.1),
-        )

@@ -10,7 +10,6 @@ from minpinv.errors import InputError, SolverError
 from minpinv.linalg import frobenius_norm, svd
 from minpinv.mpm import (
     QUARTIC_MAX,
-    filtered_sigma_value,
     filtered_spectrum,
     minimal_pseudoinverse,
     quartic_root,
@@ -18,6 +17,7 @@ from minpinv.mpm import (
     solve_level,
     spectrum_distance_sq,
 )
+from minpinv.mpmi import mpmi_x
 
 # frozen from the bisection oracle (tests/oracles.py)
 ROOT_AT_ONE = 1.380277569097614
@@ -39,14 +39,16 @@ class TestQuarticRoot:
 
 
 class TestFilteredSigmaValue:
+    """One filtered singular value rho * x: rho * 3/2 at the breakpoint, 0 past it."""
+
     def test_zero_level_is_identity(self):
-        assert filtered_sigma_value(1.0, 0.0) == 1.0
+        assert 1.0 * mpmi_x(1.0, 0.0) == 1.0
 
     def test_breakpoint_takes_left_branch(self):
-        assert filtered_sigma_value(1.0, QUARTIC_MAX) == 1.5
+        assert 1.0 * mpmi_x(1.0, QUARTIC_MAX) == 1.5
 
     def test_past_breakpoint_truncates(self):
-        assert filtered_sigma_value(1.0, 2.0) == 0.0
+        assert 1.0 * mpmi_x(1.0, 2.0) == 0.0
 
     @given(
         st.floats(min_value=0.05, max_value=20.0),
@@ -54,7 +56,7 @@ class TestFilteredSigmaValue:
     )
     @settings(max_examples=200, deadline=None)
     def test_value_in_allowed_set(self, rho, level):
-        value = filtered_sigma_value(rho, level)
+        value = rho * mpmi_x(rho, level)
         assert value == 0.0 or rho <= value <= 1.5 * rho + 1e-12 * rho
 
     @given(
@@ -66,16 +68,16 @@ class TestFilteredSigmaValue:
     @settings(max_examples=100, deadline=None)
     def test_matches_oracle(self, rho, frac):
         level = frac * QUARTIC_MAX * rho ** 4
-        value = filtered_sigma_value(rho, level)
+        value = rho * mpmi_x(rho, level)
         assert value == pytest.approx(
             oracles.mpm_filtered_value(rho, level), rel=1e-11
         )
 
     def test_rejects_bad_input(self):
         with pytest.raises(InputError):
-            filtered_sigma_value(0.0, 1.0)
+            mpmi_x(0.0, 1.0)
         with pytest.raises(InputError):
-            filtered_sigma_value(1.0, -1.0)
+            mpmi_x(1.0, -1.0)
 
 
 class TestSpectrumDistance:

@@ -146,6 +146,15 @@ class TestDiscrepancy:
         value = discrepancy_sq(float(family.breaks[0]), f, coeffs, family)
         assert value == pytest.approx(4.0 / 9.0, rel=1e-14)
 
+    def test_discrepancy_saturates(self):
+        # A = diag(1), u = (2): all of ||u||^2 past the breakpoint, 4/9 at it
+        f = svd(np.diag([1.0]))
+        family = MpmiFilterFamily(f.sigma, f.rank)
+        coeffs = f.project_rhs(np.array([2.0]))
+        assert discrepancy_sq(2.0, f, coeffs, family) == 4.0
+        at_break = discrepancy_sq(QUARTIC_MAX, f, coeffs, family)
+        assert at_break == pytest.approx(4.0 / 9.0, rel=1e-14)
+
     def test_matches_oracle_everywhere(self, rng):
         a = oracles.rank_matrix(rng, 8, 6, 4)
         f = svd(a)
