@@ -103,30 +103,44 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     shrunk to two adjacent floats and ``level`` is its upper end, the
     smallest level tried with f(level) >= target.  The caller must
     ensure f(0) < target < sup f.
+
+    The right limits f(b_i) + jumps[i] never decrease, so the bracket
+    (the first breakpoint whose right limit reaches the target) is found
+    by binary search.
     """
-    prev = 0.0
-    for brk, jump in zip(breaks, jumps):
-        left = eval_fn(brk)
-        if target <= left:
-            lo, hi = prev, brk
-            while True:
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    return hi, False
-                val = eval_fn(mid)
-                if abs(val - target) <= tol_abs:
-                    return mid, False
-                if val < target:
-                    lo = mid
-                else:
-                    hi = mid
-        if target <= left + jump:
-            return float(brk), True
-        prev = brk
-    raise SolverError(
-        "bracket exhausted",
-        f"no generalized root below the plateau for target {target}",
-    )
+    left = {}
+
+    def reaches(i):
+        left[i] = eval_fn(breaks[i])
+        return target <= left[i] + jumps[i]
+
+    lo, hi = 0, len(breaks)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(breaks):
+        raise SolverError(
+            "bracket exhausted",
+            f"no generalized root below the plateau for target {target}",
+        )
+    brk = float(breaks[lo])
+    if target > left[lo]:
+        return brk, True
+    lo, hi = (float(breaks[lo - 1]) if lo > 0 else 0.0), brk
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi, False
+        val = eval_fn(mid)
+        if abs(val - target) <= tol_abs:
+            return mid, False
+        if val < target:
+            lo = mid
+        else:
+            hi = mid
 
 
 def solve_level(matrix_error, sigma):

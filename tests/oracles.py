@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's own numerics: the
 quartic is solved by pure bisection (not Newton), spectral sums are
 plain Python loops, pseudoinverses come from numpy's divide-and-conquer
 SVD (the package uses the QR-iteration driver), and generalized roots
-are located by brute-force grid bracketing.
+are located by brute-force grid bracketing or by a linear breakpoint scan.
 """
 
 import numpy as np
@@ -95,6 +95,35 @@ def grid_root(fn, lo, hi, target, coarse=20001, refine=200):
         if b - a < 1e-16 * max(1.0, abs(b)):
             break
     return b, abs(fn(b) - target) > 1e-6 * max(target, 1.0)
+
+
+def generalized_root_scan(eval_fn, breaks, jumps, target, tol_abs):
+    """Linear-scan generalized root of a nondecreasing left-continuous
+    function: evaluate at every breakpoint in ascending order until the
+    left or right value reaches the target, then bisect the interval below.
+
+    Same contract and exits as ``minpinv.mpm.solve_generalized_root``.
+    """
+    prev = 0.0
+    for brk, jump in zip(breaks, jumps):
+        left = eval_fn(brk)
+        if target <= left:
+            lo, hi = prev, brk
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid <= lo or mid >= hi:
+                    return hi, False
+                val = eval_fn(mid)
+                if abs(val - target) <= tol_abs:
+                    return mid, False
+                if val < target:
+                    lo = mid
+                else:
+                    hi = mid
+        if target <= left + jump:
+            return float(brk), True
+        prev = brk
+    raise ValueError(f"bracket exhausted for target {target}")
 
 
 def rank_matrix(rng, m, n, rank, scale=1.0):

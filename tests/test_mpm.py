@@ -1,5 +1,7 @@
 """Quartic filter, spectral distance, level root, minimal pseudoinverse."""
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,7 +179,68 @@ class TestSolveLevel:
             solve_level(0.0, np.array([1.0]))
 
 
+@st.composite
+def staircases(draw):
+    """A nondecreasing left-continuous f(L) = a L + c L^3 plus the jumps of
+    the breakpoints strictly below L, with a target for it.
+
+    Breakpoints, jumps and coefficients are small integers, so every left
+    value f(b_i) and right limit f(b_i) + jump_i is exact and the targets
+    "left" and "right" sit exactly on one.  Jumps may be zero.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    breaks = sorted(draw(st.sets(st.integers(min_value=1, max_value=1000),
+                                 min_size=n, max_size=n)))
+    jumps = draw(st.lists(st.integers(min_value=0, max_value=5),
+                          min_size=n, max_size=n))
+    a = draw(st.integers(min_value=1, max_value=4))
+    c = draw(st.integers(min_value=0, max_value=3))
+    below = np.concatenate([[0.0], np.cumsum(jumps, dtype=np.float64)])
+    breaks = [float(b) for b in breaks]
+    jumps = [float(j) for j in jumps]
+
+    def f(level):
+        return a * level + c * level ** 3 + float(below[bisect_left(breaks, level)])
+
+    top = f(breaks[-1]) + jumps[-1]
+    kind = draw(st.sampled_from(["left", "right", "between", "above"]))
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    if kind == "left":
+        target = f(breaks[i])
+    elif kind == "right":
+        target = f(breaks[i]) + jumps[i]
+    elif kind == "between":
+        target = top * draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    else:
+        target = top + 1.0
+    tol_abs = top * draw(st.sampled_from([0.0, 1e-12, 1e-6]))
+    return f, breaks, jumps, target, tol_abs
+
+
 class TestGeneralizedRoot:
+    @given(staircases())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bracket_as_linear_scan(self, case):
+        f, breaks, jumps, target, tol_abs = case
+        try:
+            ref_level, ref_jumped = oracles.generalized_root_scan(
+                f, breaks, jumps, target, tol_abs)
+        except ValueError:
+            with pytest.raises(SolverError, match="bracket exhausted"):
+                solve_generalized_root(f, breaks, jumps, target, tol_abs)
+            return
+        level, jumped = solve_generalized_root(f, breaks, jumps, target, tol_abs)
+        assert type(level) is float
+        assert jumped == ref_jumped
+        # an interior level lies in (b_{i-1}, b_i], a jump root is b_i
+        index = bisect_left(breaks, level)
+        assert index == bisect_left(breaks, ref_level)
+        if jumped:
+            assert level == breaks[index]
+        else:
+            below = float(np.nextafter(level, -np.inf))
+            assert abs(f(level) - target) <= tol_abs or f(below) < target <= f(level)
+
     def test_bisects_to_float_resolution(self):
         # f(L) = L below the breakpoint 1: the root 1e-300 lies about a
         # thousand halvings down and no tolerance is ever met, so the
