@@ -99,14 +99,19 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     ``jumps[i]`` the jump height at ``breaks[i]``.  Returns
     ``(level, jumped)`` where either the interior root satisfies
     |f(level) - target| <= tol_abs, or ``level`` is a breakpoint whose
-    left/right values sandwich the target, or the bisection bracket has
-    shrunk to two adjacent floats and ``level`` is its upper end, the
-    smallest level tried with f(level) >= target.  The caller must
-    ensure f(0) < target < sup f.
+    left/right values sandwich the target, or the bracket has shrunk to
+    two adjacent floats and ``level`` is its upper end, the smallest
+    level tried with f(level) >= target.  The caller must ensure
+    f(0) < target < sup f.
 
     The right limits f(b_i) + jumps[i] never decrease, so the bracket
     (the first breakpoint whose right limit reaches the target) is found
-    by binary search.
+    by binary search.  Inside it the function is continuous and the root
+    is found by Illinois regula falsi (Dowell & Jarratt, BIT 1971), which
+    bisects whenever the secant point is not strictly inside the bracket
+    or three steps in a row failed to halve it.  The third is the step
+    that halves the stale end's value, so that rule gets its chance
+    first.  No derivative is needed.
     """
     left = {}
 
@@ -129,18 +134,40 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     brk = float(breaks[lo])
     if target > left[lo]:
         return brk, True
-    lo, hi = (float(breaks[lo - 1]) if lo > 0 else 0.0), brk
+    # Interior root in (b_{i-1}, b_i]: the function is continuous there,
+    # starting from the right limit at b_{i-1} (f(0) below the first).
+    if lo > 0:
+        a, ga = float(breaks[lo - 1]), left[lo - 1] + jumps[lo - 1] - target
+    else:
+        a, ga = 0.0, eval_fn(0.0) - target
+    b, gb = brk, left[lo] - target
+    if gb <= tol_abs:
+        return b, False
+    kept = 0      # +1: the last step kept b, -1: it kept a
+    slow = 0      # consecutive secant steps that did not halve the bracket
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return hi, False
-        val = eval_fn(mid)
-        if abs(val - target) <= tol_abs:
+        width = b - a
+        denom = gb - ga
+        mid = a - ga * (width / denom) if denom > 0.0 else a
+        bisect = slow >= 3 or not a < mid < b
+        if bisect:
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                return b, False
+        g = eval_fn(mid) - target
+        if abs(g) <= tol_abs:
             return mid, False
-        if val < target:
-            lo = mid
+        if g < 0.0:
+            a, ga = mid, g
+            if kept == 1:
+                gb *= 0.5   # Illinois rule: b kept twice, halve its value
+            kept = 1
         else:
-            hi = mid
+            b, gb = mid, g
+            if kept == -1:
+                ga *= 0.5
+            kept = -1
+        slow = 0 if bisect or b - a <= 0.5 * width else slow + 1
 
 
 def solve_level(matrix_error, sigma):
