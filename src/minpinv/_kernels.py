@@ -2,10 +2,11 @@
 
 The central kernel solves x**4 - x**3 = t on [1, 3/2] for t in
 [0, 27/16].  The left side is convex and strictly increasing there, so
-Newton started from x = 3/2 converges monotonically; endpoints are
-returned exactly.  ``filter_x`` turns it into the quartic filter factors
-of a spectrum, ``spectrum_distance_sq`` into the mpm spectral distance,
-and ``poisson_kernel`` fills the model problem's matrix.
+Newton started from an upper bound on the root converges monotonically;
+endpoints are returned exactly.  ``filter_x`` turns it into the quartic
+filter factors of a spectrum, ``spectrum_distance_sq`` into the mpm
+spectral distance, and ``poisson_kernel`` fills the model problem's
+matrix.
 """
 
 import numpy as np
@@ -22,9 +23,14 @@ USING_NUMBA = False
 
 
 def quartic_roots(t):
-    """Roots x in [1, 3/2] of x**4 - x**3 = t, elementwise over ``t``."""
+    """Roots x in [1, 3/2] of x**4 - x**3 = t, elementwise over ``t``.
+
+    Newton starts from x = 1 + y with (1 + 3y) y = t, capped at 3/2.
+    Since (1 + y)**3 >= 1 + 3y, the start is an upper bound on the root.
+    """
     t = np.asarray(t, dtype=np.float64)
-    x = np.full(t.shape, 1.5)
+    y = (np.sqrt(1.0 + 12.0 * np.maximum(t, 0.0)) - 1.0) / 6.0
+    x = np.minimum(1.0 + y, 1.5)
     for _ in range(100):
         step = (x * x * x * (x - 1.0) - t) / (x * x * (4.0 * x - 3.0))
         x -= step

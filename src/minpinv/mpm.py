@@ -77,18 +77,16 @@ def ascending_breakpoints(breaks, jumps):
     """Distinct breakpoints in ascending order with their summed jumps.
 
     ``breaks[k]`` and ``jumps[k]`` belong to index k; indices that share a
-    breakpoint add their jumps, in ascending index order among equals.
+    breakpoint add their jumps, in ascending index order among equals
+    (``np.bincount`` adds its weights in input order).  Returns two arrays.
     """
     order = np.argsort(breaks, kind="stable")
-    merged_breaks, merged_jumps = [], []
-    for brk, jump in zip(np.asarray(breaks)[order].tolist(),
-                         np.asarray(jumps)[order].tolist()):
-        if merged_breaks and brk == merged_breaks[-1]:
-            merged_jumps[-1] += jump
-        else:
-            merged_breaks.append(brk)
-            merged_jumps.append(jump)
-    return merged_breaks, merged_jumps
+    breaks = np.asarray(breaks, dtype=np.float64)[order]
+    first = np.ones(len(breaks), dtype=bool)
+    first[1:] = breaks[1:] != breaks[:-1]
+    segment = np.cumsum(first) - 1
+    jumps = np.asarray(jumps, dtype=np.float64)[order]
+    return breaks[first], np.bincount(segment, weights=jumps)
 
 
 def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
@@ -101,8 +99,8 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     |f(level) - target| <= tol_abs, or ``level`` is a breakpoint whose
     left/right values sandwich the target, or the bracket has shrunk to
     two adjacent floats and ``level`` is its upper end, the smallest
-    level tried with f(level) >= target.  The caller must ensure
-    f(0) < target < sup f.
+    level tried with f(level) >= target.  ``level`` is a Python float.
+    The caller must ensure f(0) < target < sup f.
 
     The right limits f(b_i) + jumps[i] never decrease, so the bracket
     (the first breakpoint whose right limit reaches the target) is found
@@ -114,49 +112,45 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     first.  No derivative is needed.
     """
     left = {}
-
-    def reaches(i):
-        left[i] = eval_fn(breaks[i])
-        return target <= left[i] + jumps[i]
-
-    lo, hi = 0, len(breaks)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
+    i, end = 0, len(breaks)
+    while i < end:
+        k = (i + end) // 2
+        left[k] = eval_fn(breaks[k])
+        if target <= left[k] + jumps[k]:
+            end = k
         else:
-            lo = mid + 1
-    if lo == len(breaks):
+            i = k + 1
+    if i == len(breaks):
         raise SolverError(
             "bracket exhausted",
             f"no generalized root below the plateau for target {target}",
         )
-    brk = float(breaks[lo])
-    if target > left[lo]:
+    brk = float(breaks[i])
+    if target > left[i]:
         return brk, True
     # Interior root in (b_{i-1}, b_i]: the function is continuous there,
     # starting from the right limit at b_{i-1} (f(0) below the first).
-    if lo > 0:
-        a, ga = float(breaks[lo - 1]), left[lo - 1] + jumps[lo - 1] - target
+    if i > 0:
+        a, ga = float(breaks[i - 1]), left[i - 1] + jumps[i - 1] - target
     else:
         a, ga = 0.0, eval_fn(0.0) - target
-    b, gb = brk, left[lo] - target
+    b, gb = brk, left[i] - target
     if gb <= tol_abs:
-        return b, False
+        return brk, False
     kept = 0      # +1: the last step kept b, -1: it kept a
     slow = 0      # consecutive secant steps that did not halve the bracket
     while True:
         width = b - a
-        denom = gb - ga
+        denom = gb - ga   # halving can underflow both ends' values to 0
         mid = a - ga * (width / denom) if denom > 0.0 else a
         bisect = slow >= 3 or not a < mid < b
         if bisect:
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
-                return b, False
+                return float(b), False
         g = eval_fn(mid) - target
         if abs(g) <= tol_abs:
-            return mid, False
+            return float(mid), False
         if g < 0.0:
             a, ga = mid, g
             if kept == 1:

@@ -7,8 +7,11 @@ noise level (discrepancy principle): the squared residual is monotone
 and left-continuous in h, so the equation has a generalized root that
 may land on a breakpoint (a "jump root").  Inflation strictly shrinks
 the working spectrum's extreme-value ratio, so the effective operator
-is better conditioned than the original matrix; at a jump root the
-improvement is at least one and a half fold on the surviving block.
+is better conditioned than the original matrix on the surviving block.
+At a jump root the last survivor is inflated by exactly x_r = 3/2, so
+the condition number is (2/3) sigma_1 x_1 / sigma_r and the improvement
+over sigma_1 / sigma_r is 1.5 / x_1, which lies in [1, 3/2): at most,
+not at least, one and a half fold.
 
 ``FilterFamily`` carries the family contract; the quartic-law
 ``MpmiFilterFamily`` is the shipped instance.
@@ -117,12 +120,13 @@ def residual_floor(factors, u):
     return float(np.sqrt(np.sum(tail * tail)))
 
 
-def discrepancy_sq(level, factors, coeffs, family):
+def discrepancy_sq(level, coeffs, family):
     """Squared solution residual at a filter level, in spectral form.
 
-    ``coeffs`` are U^T u.  The head sums (1 - theta[x_k])^2 over the
-    numerical-rank block; the tail (the squared residual floor) is
-    unreachable by any filter.
+    ``coeffs`` are U^T u and ``family`` carries the singular values of
+    the numerical-rank block.  The head sums (1 - theta[x_k])^2 over that
+    block; the tail (the squared residual floor) is unreachable by any
+    filter.
     """
     rank = family.rank
     if not level >= 0.0:
@@ -168,10 +172,10 @@ def discrepancy_curve(factors, u, family=None, num=257):
     top = breaks[-1]
     levels = np.concatenate([[0.0], np.geomspace(breaks[0] * 1e-3, top * 1.05, num - 1)])
     values = np.array(
-        [discrepancy_sq(float(lv), factors, coeffs, family) for lv in levels]
+        [discrepancy_sq(float(lv), coeffs, family) for lv in levels]
     )
     lefts = np.array(
-        [discrepancy_sq(b, factors, coeffs, family) for b in breaks]
+        [discrepancy_sq(b, coeffs, family) for b in breaks]
     )
     rights = lefts + np.array(jumps)
     return DiscrepancyCurve(
@@ -206,14 +210,14 @@ def discrepancy_target(coeffs, rank, delta_abs):
     return target, floor_sq, u_norm_sq
 
 
-def _filter_level(factors, coeffs, delta_abs, family):
+def _filter_level(coeffs, delta_abs, family):
     """``(level, jumped)`` of the discrepancy equation for U^T u = ``coeffs``."""
     rank = family.rank
     target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
     breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
 
     def total(level):
-        return discrepancy_sq(level, factors, coeffs, family)
+        return discrepancy_sq(level, coeffs, family)
 
     return solve_generalized_root(
         total, breaks, jumps, target, tol_abs=1e-12 * u_norm_sq
@@ -230,7 +234,7 @@ def solve_filter_level(factors, u, delta_abs, family=None, with_curve=True):
     coeffs = factors.project_rhs(u)
     if family is None:
         family = MpmiFilterFamily(factors.sigma, factors.rank)
-    level, jumped = _filter_level(factors, coeffs, delta_abs, family)
+    level, jumped = _filter_level(coeffs, delta_abs, family)
     curve = discrepancy_curve(factors, u, family) if with_curve else None
     return level, curve, jumped
 
@@ -317,7 +321,7 @@ def mpmi_spectrum(factors, coeffs, delta_abs):
     Returns ``(s, level, jumped)``.
     """
     family = MpmiFilterFamily(factors.sigma, factors.rank)
-    level, jumped = _filter_level(factors, coeffs, delta_abs, family)
+    level, jumped = _filter_level(coeffs, delta_abs, family)
     return family.sigma * family.x_values(level), level, jumped
 
 

@@ -97,6 +97,21 @@ def grid_root(fn, lo, hi, target, coarse=20001, refine=200):
     return b, abs(fn(b) - target) > 1e-6 * max(target, 1.0)
 
 
+def ascending_breakpoints_loop(breaks, jumps):
+    """Distinct ascending breakpoints with jumps summed left to right, in
+    ascending index order among equal breakpoints (a plain Python merge)."""
+    order = np.argsort(breaks, kind="stable")
+    merged_breaks, merged_jumps = [], []
+    for brk, jump in zip(np.asarray(breaks)[order].tolist(),
+                         np.asarray(jumps)[order].tolist()):
+        if merged_breaks and brk == merged_breaks[-1]:
+            merged_jumps[-1] += jump
+        else:
+            merged_breaks.append(brk)
+            merged_jumps.append(jump)
+    return merged_breaks, merged_jumps
+
+
 def generalized_root_scan(eval_fn, breaks, jumps, target, tol_abs):
     """Linear-scan generalized root of a nondecreasing left-continuous
     function: evaluate at every breakpoint in ascending order until the

@@ -125,7 +125,7 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
     top = float(family.breaks[0])
     levels = np.linspace(0.0, 1.05 * top, 10_000)
     values = np.array([
-        discrepancy_sq(float(level), desk_factors, coeffs, family)
+        discrepancy_sq(float(level), coeffs, family)
         for level in levels
     ])
 
@@ -145,9 +145,9 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
                 desk_factors, u_d, delta_abs, with_curve=False
             )
             c = desk_factors.project_rhs(u_d)
-            left = discrepancy_sq(level, desk_factors, c, family)
+            left = discrepancy_sq(level, c, family)
             right = discrepancy_sq(
-                np.nextafter(level, np.inf), desk_factors, c, family
+                np.nextafter(level, np.inf), c, family
             )
             uu = float(u_d @ u_d)
             if left > target + 1e-9 * uu or right < target - 1e-9 * uu:

@@ -300,4 +300,4 @@ class TestNanParameters:
         with pytest.raises(InputError):
             family.x_values(nan)
         with pytest.raises(InputError):
-            discrepancy_sq(nan, f, f.project_rhs(np.ones(2)), family)
+            discrepancy_sq(nan, f.project_rhs(np.ones(2)), family)

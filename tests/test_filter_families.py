@@ -83,7 +83,7 @@ class TestGenericSolvePath:
         )
         assert jumped
         assert level == 1.0
-        assert discrepancy_sq(1.0, factors, factors.project_rhs(u), family) \
+        assert discrepancy_sq(1.0, factors.project_rhs(u), family) \
             == pytest.approx(1.0, rel=1e-12)
 
     def test_generic_curve_structure(self, setup):

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minpinv.mpm
+import minpinv.mpmi
 import oracles
+from minpinv.baselines import solve
 from minpinv.errors import InputError, SolverError
+from minpinv.experiments import perturb_rhs
 from minpinv.linalg import frobenius_norm, svd
 from minpinv.mpm import (
     QUARTIC_MAX,
+    ascending_breakpoints,
     filtered_spectrum,
     minimal_pseudoinverse,
     quartic_root,
@@ -23,6 +28,11 @@ from minpinv.mpmi import mpmi_x
 
 # frozen from the bisection oracle (tests/oracles.py)
 ROOT_AT_ONE = 1.380277569097614
+
+# Median root-function evaluations per solve on the 199x201 desk problem,
+# 6 noise levels x seeds 0-3, recorded with the binary bracket search and
+# Illinois steps (a linear breakpoint scan made about 210 and 197).
+DESK_EVALS = {"mpmi": 13, "mpm": 10}
 
 
 class TestQuarticRoot:
@@ -217,6 +227,21 @@ def staircases(draw):
     return f, breaks, jumps, target, tol_abs
 
 
+class TestAscendingBreakpoints:
+    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -52, 3.0, 27.0]),
+                              st.floats(min_value=0.0, max_value=1e6)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop_merge(self, pairs):
+        # few distinct values, so runs of equal breakpoints are long and the
+        # summation order of their jumps shows in the last bits
+        breaks, jumps = (np.array(col) for col in zip(*pairs))
+        merged_breaks, merged_jumps = ascending_breakpoints(breaks, jumps)
+        ref_breaks, ref_jumps = oracles.ascending_breakpoints_loop(breaks, jumps)
+        assert merged_breaks.tolist() == ref_breaks
+        assert merged_jumps.tolist() == ref_jumps
+
+
 class TestGeneralizedRoot:
     @given(staircases())
     @settings(max_examples=200, deadline=None)
@@ -240,6 +265,33 @@ class TestGeneralizedRoot:
         else:
             below = float(np.nextafter(level, -np.inf))
             assert abs(f(level) - target) <= tol_abs or f(below) < target <= f(level)
+
+    @pytest.mark.parametrize("method, bound", [("mpmi", "delta_abs"), ("mpm", "h")])
+    def test_evaluations_per_desk_solve(self, method, bound, desk_problem,
+                                        desk_factors, monkeypatch):
+        counts = []
+
+        def counting(eval_fn, *args, **kwargs):
+            calls = []
+
+            def counted(level):
+                calls.append(level)
+                return eval_fn(level)
+
+            level, jumped = solve_generalized_root(counted, *args, **kwargs)
+            assert type(level) is float
+            counts.append(len(calls))
+            return level, jumped
+
+        monkeypatch.setattr(minpinv.mpm, "solve_generalized_root", counting)
+        monkeypatch.setattr(minpinv.mpmi, "solve_generalized_root", counting)
+        norm = float(np.linalg.norm(desk_problem.exact_rhs))
+        for delta in (0.005, 0.01, 0.05, 0.1, 0.2, 0.3):
+            for seed in range(4):
+                u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
+                solve(desk_factors, u, method, **{bound: delta * norm})
+        assert len(counts) == 24
+        assert np.median(counts) <= 2 * DESK_EVALS[method]
 
     def test_bisects_to_float_resolution(self):
         # f(L) = L below the breakpoint 1: the root 1e-300 lies about a

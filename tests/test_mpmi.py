@@ -123,7 +123,7 @@ class TestDiscrepancy:
         u = rng.standard_normal(7)
         family = MpmiFilterFamily(f.sigma, f.rank)
         coeffs = f.project_rhs(u)
-        assert discrepancy_sq(0.0, f, coeffs, family) == pytest.approx(
+        assert discrepancy_sq(0.0, coeffs, family) == pytest.approx(
             residual_floor(f, u) ** 2, rel=1e-12
         )
 
@@ -134,7 +134,7 @@ class TestDiscrepancy:
         family = MpmiFilterFamily(f.sigma, f.rank)
         coeffs = f.project_rhs(u)
         past_top = 2.0 * family.breaks[0]
-        assert discrepancy_sq(past_top, f, coeffs, family) == pytest.approx(
+        assert discrepancy_sq(past_top, coeffs, family) == pytest.approx(
             float(u @ u), rel=1e-12
         )
 
@@ -143,7 +143,7 @@ class TestDiscrepancy:
         f = svd(np.diag([1.0]))
         family = MpmiFilterFamily(f.sigma, f.rank)
         coeffs = f.project_rhs(np.array([2.0]))
-        value = discrepancy_sq(float(family.breaks[0]), f, coeffs, family)
+        value = discrepancy_sq(float(family.breaks[0]), coeffs, family)
         assert value == pytest.approx(4.0 / 9.0, rel=1e-14)
 
     def test_discrepancy_saturates(self):
@@ -151,8 +151,8 @@ class TestDiscrepancy:
         f = svd(np.diag([1.0]))
         family = MpmiFilterFamily(f.sigma, f.rank)
         coeffs = f.project_rhs(np.array([2.0]))
-        assert discrepancy_sq(2.0, f, coeffs, family) == 4.0
-        at_break = discrepancy_sq(QUARTIC_MAX, f, coeffs, family)
+        assert discrepancy_sq(2.0, coeffs, family) == 4.0
+        at_break = discrepancy_sq(QUARTIC_MAX, coeffs, family)
         assert at_break == pytest.approx(4.0 / 9.0, rel=1e-14)
 
     def test_matches_oracle_everywhere(self, rng):
@@ -162,7 +162,7 @@ class TestDiscrepancy:
         family = MpmiFilterFamily(f.sigma, f.rank)
         coeffs = f.project_rhs(u)
         for level in np.geomspace(family.breaks[-1] * 1e-4, family.cap, 40):
-            ours = discrepancy_sq(float(level), f, coeffs, family)
+            ours = discrepancy_sq(float(level), coeffs, family)
             ref = oracles.mpmi_beta_sq(float(level), f.sigma, coeffs, f.rank)
             assert ours == pytest.approx(ref, rel=1e-9)
 
@@ -178,7 +178,7 @@ class TestSolveFilterLevel:
         family = MpmiFilterFamily(f.sigma, f.rank)
         coeffs = f.project_rhs(u)
         # solver contract: |value - target| <= 1e-12 * ||u||^2 = 4e-12
-        assert discrepancy_sq(level, f, coeffs, family) == pytest.approx(0.2, abs=4e-12)
+        assert discrepancy_sq(level, coeffs, family) == pytest.approx(0.2, abs=4e-12)
 
     def test_forced_jump(self):
         # target 1.0 sits between 4/9 (left) and 4 (right) at the breakpoint
@@ -216,9 +216,9 @@ class TestSolveFilterLevel:
             family = MpmiFilterFamily(f.sigma, f.rank)
             coeffs = f.project_rhs(u)
             target = delta_sq + floor_sq
-            left = discrepancy_sq(level, f, coeffs, family)
+            left = discrepancy_sq(level, coeffs, family)
             right = discrepancy_sq(
-                np.nextafter(level, np.inf), f, coeffs, family
+                np.nextafter(level, np.inf), coeffs, family
             )
             assert left <= target + 1e-9 * u_sq
             assert right >= target - 1e-9 * u_sq

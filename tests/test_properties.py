@@ -49,8 +49,8 @@ def test_mpmi_level_sandwiches_the_target(problem):
     target = delta_abs ** 2 + float(np.sum(coeffs[factors.rank:] ** 2))
     slack = 1e-12 * float(u @ u)
     level = report.parameter
-    below = discrepancy_sq(np.nextafter(level, -np.inf), factors, coeffs, family)
-    above = discrepancy_sq(np.nextafter(level, np.inf), factors, coeffs, family)
+    below = discrepancy_sq(np.nextafter(level, -np.inf), coeffs, family)
+    above = discrepancy_sq(np.nextafter(level, np.inf), coeffs, family)
     assert below <= target + slack
     assert above >= target - slack
 
@@ -69,6 +69,11 @@ def test_mpmi_jump_root_identity(problem):
     assert x[r - 1] == 1.5
     expected = (2.0 / 3.0) * factors.sigma[0] * x[0] / factors.sigma[r - 1]
     assert abs(report.condition_number - expected) <= 1e-12 * expected
+    # so the improvement over sigma_1/sigma_r is 1.5/x_1, in [1, 3/2): at
+    # most one and a half fold (x_1 rounds to 1 on steeply graded spectra)
+    improvement = factors.sigma[0] / factors.sigma[r - 1] / report.condition_number
+    assert abs(improvement - 1.5 / x[0]) <= 1e-12 * improvement
+    assert 1.0 - 1e-12 <= improvement <= 1.5 * (1.0 + 1e-12)
 
 
 @given(graded_problems())
