@@ -31,7 +31,8 @@ ROOT_AT_ONE = 1.380277569097614
 
 # Median root-function evaluations per solve on the 199x201 desk problem,
 # 6 noise levels x seeds 0-3, recorded with the binary bracket search and
-# Illinois steps (a linear breakpoint scan made about 210 and 197).
+# Illinois steps (the linear breakpoint scan they replace made about 210
+# and 197).
 DESK_EVALS = {"mpmi": 13, "mpm": 10}
 
 
@@ -295,8 +296,8 @@ class TestGeneralizedRoot:
 
     def test_bisects_to_float_resolution(self):
         # f(L) = L below the breakpoint 1: the root 1e-300 lies about a
-        # thousand halvings down and no tolerance is ever met, so the
-        # bisection must run until its bracket is two adjacent floats
+        # thousand halvings down and the tolerance is 0, so the finder must
+        # resolve it to float resolution, not stop at a step count
         level, jumped = solve_generalized_root(lambda lv: lv, [1.0], [1.0], 1e-300, 0.0)
         assert not jumped
         assert abs(level - 1e-300) <= np.spacing(1e-300)
