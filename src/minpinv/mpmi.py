@@ -177,11 +177,11 @@ def discrepancy_curve(factors, u, family=None, num=257):
     lefts = np.array(
         [discrepancy_sq(b, coeffs, family) for b in breaks]
     )
-    rights = lefts + np.array(jumps)
+    rights = lefts + jumps
     return DiscrepancyCurve(
         levels=levels,
         values=values,
-        break_levels=np.array(breaks),
+        break_levels=breaks,
         break_left=lefts,
         break_right=rights,
         floor_sq=floor_sq,
