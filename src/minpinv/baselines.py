@@ -46,9 +46,8 @@ def _tsvd_spectrum(factors, coeffs, delta_abs=None, rank=None):
     smallest rank whose coefficient tail fits the discrepancy target."""
     if rank is None:
         target, _, _ = discrepancy_target(coeffs, factors.rank, delta_abs)
-        tails = _coeff_tails(coeffs)
-        rank = next((max(k, 1) for k in range(factors.rank + 1) if tails[k] <= target),
-                    factors.rank)
+        fits = np.flatnonzero(_coeff_tails(coeffs)[: factors.rank + 1] <= target)
+        rank = max(int(fits[0]), 1) if fits.size else factors.rank
     if not 1 <= rank <= factors.rank:
         raise InputError(f"truncation rank {rank} outside 1..{factors.rank}")
     rank = int(rank)
@@ -82,11 +81,8 @@ def tsvd_rank_by_matrix_error(sigma, matrix_error):
             "zero-rank truncation",
             f"error bound {matrix_error} >= total spectral energy",
         )
-    target = matrix_error * matrix_error
-    for kappa in range(1, len(sigma) + 1):
-        if tails[kappa] <= target:
-            return kappa
-    return len(sigma)
+    fits = np.flatnonzero(tails[1:] <= matrix_error * matrix_error)
+    return int(fits[0]) + 1 if fits.size else len(sigma)
 
 
 def tsvd_solve(factors, u, rank):

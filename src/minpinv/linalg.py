@@ -1,8 +1,13 @@
 """Dense SVD factorization, filtered pseudoinverse application and checks.
 
-The factorization backend is LAPACK's Golub-Kahan bidiagonalization
-with QR iteration (``gesvd``), which resolves the deep tail of graded
-spectra noticeably better than the divide-and-conquer driver.  All
+The factorization uses two LAPACK drivers.  The singular values come
+from values-only ``gesvd`` (bidiagonalization, then dqds), which
+resolves the deep tail of graded spectra to about machine precision
+relative to sigma_1; the divide-and-conquer driver ``gesdd``, run with
+vectors, stalls there about two orders of magnitude higher.  The singular vectors come
+from ``gesdd``, several times faster than ``gesvd`` with all rotations
+applied to U and V; its own singular values are discarded, so the rank,
+breakpoints and condition numbers all see the ``gesvd`` spectrum.  All
 public entry points validate finiteness and shapes and raise
 :class:`~minpinv.errors.InputError` / :class:`~minpinv.errors.SolverError`.
 """
@@ -64,6 +69,10 @@ class SvdFactors:
 
     ``sigma`` has length min(m, n) and is nonincreasing; columns of
     ``u`` / ``v`` are the singular vectors (A = U diag(sigma) V^T).
+    :func:`svd` takes ``sigma`` from values-only ``gesvd`` and ``u`` /
+    ``v`` from ``gesdd`` (see the module docstring).  U and V stay full
+    so that the columns past the rank span the complement that the
+    residual floor lives in.
     ``rank_tolerance`` fixes the numerical rank: #{k : sigma_k > tol}.
     """
 
@@ -104,6 +113,7 @@ def _freeze(a):
 def svd(a, rank_tolerance=None):
     """Full SVD of a dense real matrix as :class:`SvdFactors`.
 
+    sigma from values-only ``gesvd``, U and V from ``gesdd``.
     Deterministic for identical input bits.  Raises ``InputError`` for
     non-finite or zero input and ``SolverError`` when the iteration
     fails to converge.
@@ -112,9 +122,11 @@ def svd(a, rank_tolerance=None):
     if not np.any(a):
         raise InputError("cannot factorize the zero matrix")
     try:
-        u, sigma, vt = scipy.linalg.svd(
-            a, full_matrices=True, lapack_driver="gesvd"
-        )
+        # require_matrix has already rejected non-finite entries
+        sigma = scipy.linalg.svd(a, compute_uv=False, check_finite=False,
+                                 lapack_driver="gesvd")
+        u, _, vt = scipy.linalg.svd(a, full_matrices=True, check_finite=False,
+                                    lapack_driver="gesdd")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError("factorization failed", str(exc)) from exc
     if rank_tolerance is None:
@@ -149,7 +161,10 @@ def assemble_filtered_pinv(factors, filtered_sigma):
     big_m = len(factors.sigma)
     if filtered_sigma.shape[0] != big_m:
         raise InputError("filtered spectrum length mismatch")
-    theta = np.array([reciprocal_or_zero(s) for s in filtered_sigma])
+    if np.any(filtered_sigma < 0.0):
+        raise InputError("filtered spectrum must be nonnegative")
+    theta = np.divide(1.0, filtered_sigma, out=np.zeros_like(filtered_sigma),
+                      where=filtered_sigma > 0.0)
     return (factors.v[:, :big_m] * theta) @ factors.u[:, :big_m].T
 
 

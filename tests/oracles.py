@@ -2,12 +2,20 @@
 
 Everything here deliberately avoids the package's own numerics: the
 quartic is solved by pure bisection (not Newton), spectral sums are
-plain Python loops, pseudoinverses come from numpy's divide-and-conquer
-SVD (the package uses the QR-iteration driver), and generalized roots
-are located by brute-force grid bracketing or by a linear breakpoint scan.
+plain Python loops, pseudoinverses come from numpy's SVD with its own
+cutoff, generalized roots are located by brute-force grid bracketing or
+by a linear breakpoint scan, and truncation ranks by a loop over the
+tails.  The package takes its singular values from values-only
+``gesvd`` (dqds, accurate in the deep tail) and its singular vectors
+from ``gesdd`` (divide and conquer, several times faster);
+:func:`gesvd_factors` is the one-driver reference with values and
+vectors both from full-vector ``gesvd`` (QR iteration).
 """
 
 import numpy as np
+import scipy.linalg
+
+from minpinv.linalg import SvdFactors, default_rank_tolerance
 
 QUARTIC_TOP = 27.0 / 16.0
 
@@ -146,3 +154,29 @@ def rank_matrix(rng, m, n, rank, scale=1.0):
     left = rng.standard_normal((m, rank))
     right = rng.standard_normal((rank, n))
     return scale * (left @ right)
+
+
+def gesvd_factors(a):
+    """SvdFactors with sigma, U and V all from full-vector ``gesvd``
+    (QR iteration with every rotation applied to U and V), under the
+    package's default rank tolerance."""
+    u, sigma, vt = scipy.linalg.svd(a, full_matrices=True, lapack_driver="gesvd")
+    return SvdFactors(u, sigma, vt.T, default_rank_tolerance(sigma, a.shape))
+
+
+def tsvd_rank_scan(tails, rank, target):
+    """First k in 0..rank with tails[k] <= target, clamped to at least 1;
+    ``rank`` when none fits (the discrepancy rank, as a loop)."""
+    for k in range(rank + 1):
+        if tails[k] <= target:
+            return max(k, 1)
+    return rank
+
+
+def matrix_error_rank_scan(tails, target):
+    """First kappa in 1..len(tails) - 1 with tails[kappa] <= target; the
+    last index when none fits (the matrix-error rank, as a loop)."""
+    for kappa in range(1, len(tails)):
+        if tails[kappa] <= target:
+            return kappa
+    return len(tails) - 1

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from minpinv.baselines import (
     METHODS,
+    _coeff_tails,
     discrepancy_alpha,
     morozov_solve,
     morozov_spectrum,
@@ -19,7 +22,20 @@ from minpinv.baselines import (
 from minpinv.errors import InputError, SolverError
 from minpinv.linalg import spectral_cond, svd
 from minpinv.mpm import spectrum_distance_sq
-from minpinv.mpmi import MpmiFilterFamily, discrepancy_sq, mpmi_x, residual_floor
+from minpinv.mpmi import (
+    MpmiFilterFamily,
+    discrepancy_sq,
+    discrepancy_target,
+    mpmi_x,
+    residual_floor,
+)
+
+# Integer-valued entries make tails and targets exact, so ties between a
+# tail and the target (the "<=" boundary) come up often.
+spectra = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.floats(1e-3, 10.0)),
+    min_size=1, max_size=12,
+).map(lambda values: np.sort(values)[::-1]).filter(lambda sigma: sigma[0] > 0.0)
 
 
 class TestTsvdRankByDiscrepancy:
@@ -50,6 +66,34 @@ class TestTsvdRankByDiscrepancy:
         assert rank == f.rank
         report = tsvd_solve(f, u, rank)
         assert report.condition_number == pytest.approx(spectral_cond(f), rel=1e-12)
+
+
+class TestRankScansMatchLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=spectra, pad=st.integers(0, 3),
+           rhs=st.lists(st.integers(-3, 3), min_size=15, max_size=15),
+           delta_abs=st.one_of(st.integers(1, 5).map(float), st.floats(1e-3, 5.0)))
+    def test_discrepancy_rank(self, sigma, pad, rhs, delta_abs):
+        # diag(sigma) over zero rows: U is a signed permutation, so the
+        # coefficients of an integer right-hand side stay integers
+        f = svd(np.vstack([np.diag(sigma), np.zeros((pad, len(sigma)))]))
+        u = np.array(rhs[: f.shape[0]], dtype=np.float64)
+        coeffs = f.project_rhs(u)
+        try:
+            target, _, _ = discrepancy_target(coeffs, f.rank, delta_abs)
+        except SolverError:
+            assume(False)
+        expected = oracles.tsvd_rank_scan(_coeff_tails(coeffs), f.rank, target)
+        assert tsvd_rank_by_discrepancy(f, u, delta_abs) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=spectra,
+           matrix_error=st.one_of(st.integers(1, 5).map(float), st.floats(1e-3, 5.0)))
+    def test_matrix_error_rank(self, sigma, matrix_error):
+        tails = _coeff_tails(sigma)
+        assume(matrix_error * matrix_error < tails[0])
+        expected = oracles.matrix_error_rank_scan(tails, matrix_error * matrix_error)
+        assert tsvd_rank_by_matrix_error(sigma, matrix_error) == expected
 
 
 class TestTsvdRankByMatrixError:

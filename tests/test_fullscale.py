@@ -1,6 +1,6 @@
 """Manual full-scale checks (1991 x 2001): spectrum shape and benchmark
-magnitudes. Enable with MINPINV_FULL_SCALE=1; the shared factorization
-takes ~20 s and the harness sweep a couple of minutes.
+magnitudes. Enable with MINPINV_FULL_SCALE=1; on one core the shared
+factorization takes about 6 s and the harness sweep a few seconds.
 
 The published per-cell numbers are single noise realizations, so these
 are order-of-magnitude comparisons, not reproductions.

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
+from minpinv.baselines import METHODS, solve
 from minpinv.errors import InputError, SolverError
+from minpinv.experiments import build_poisson, perturb_rhs
 from minpinv.linalg import (
     EPS,
     apply_filtered_pinv,
@@ -93,6 +96,60 @@ class TestSvdContract:
         assert f.with_rank_tolerance(1e-12).rank == 1
 
 
+def assert_same_report(report, ref, rtol=1e-10):
+    gap = np.linalg.norm(report.solution - ref.solution)
+    assert gap <= rtol * np.linalg.norm(ref.solution)
+    assert report.parameter == pytest.approx(ref.parameter, rel=rtol)
+    assert report.condition_number == pytest.approx(ref.condition_number, rel=rtol)
+    assert report.jump_root == ref.jump_root
+    assert report.effective_rank == ref.effective_rank
+
+
+class TestMixedDrivers:
+    """sigma from values-only gesvd, U and V from gesdd."""
+
+    def test_sigma_is_values_only_gesvd(self, desk_problem, desk_factors):
+        expected = scipy.linalg.svd(
+            desk_problem.matrix, compute_uv=False, lapack_driver="gesvd"
+        )
+        assert np.array_equal(desk_factors.sigma, expected)
+
+    @pytest.mark.parametrize("delta", [0.005, 0.05, 0.3])
+    def test_desk_methods_match_gesvd_reference(self, desk_problem, desk_factors, delta):
+        ref_factors = oracles.gesvd_factors(desk_problem.matrix)
+        assert desk_factors.rank == ref_factors.rank
+        delta_abs = delta * np.linalg.norm(desk_problem.exact_rhs)
+        for seed in range(2):
+            u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
+            for method, (_, accepted) in METHODS.items():
+                bound = {accepted[0]: delta_abs}
+                assert_same_report(solve(desk_factors, u, method, **bound),
+                                   solve(ref_factors, u, method, **bound))
+
+    def test_baselines_match_gesvd_reference_at_499(self):
+        problem = build_poisson(499, 501, 0.1)
+        factors = svd(problem.matrix)
+        ref_factors = oracles.gesvd_factors(problem.matrix)
+        assert factors.rank == ref_factors.rank
+        for delta in (0.005, 0.3):
+            u = perturb_rhs(problem.exact_rhs, delta, 0)
+            delta_abs = delta * np.linalg.norm(problem.exact_rhs)
+            for method in ("tsvd", "tr", "morozov"):
+                assert_same_report(solve(factors, u, method, delta_abs=delta_abs),
+                                   solve(ref_factors, u, method, delta_abs=delta_abs))
+
+    def test_floor_is_projection_residual(self, rng, desk_problem, desk_factors):
+        # the gesdd columns past the rank span the complement of U_r
+        rank_deficient = np.vstack([oracles.rank_matrix(rng, 8, 10, 4), np.zeros((3, 10))])
+        cases = [(desk_factors, perturb_rhs(desk_problem.exact_rhs, 0.005, 0)),
+                 (svd(rank_deficient), rng.standard_normal(11))]
+        for f, u in cases:
+            coeffs = f.project_rhs(u)
+            u_r = f.u[:, : f.rank]
+            direct = np.sum((u - u_r @ (u_r.T @ u)) ** 2)
+            assert np.sum(coeffs[f.rank:] ** 2) == pytest.approx(direct, rel=1e-10)
+
+
 class TestReciprocalOrZero:
     def test_values(self):
         assert reciprocal_or_zero(0.0) == 0.0
@@ -131,6 +188,14 @@ class TestApplyFilteredPinv:
         z_op = apply_filtered_pinv(f, filtered, u)
         z_mat = assemble_filtered_pinv(f, filtered) @ u
         np.testing.assert_allclose(z_op, z_mat, atol=1e-12)
+
+    def test_negative_filtered_spectrum_rejected(self, rng):
+        f = svd(rng.standard_normal((5, 4)))
+        filtered = np.array([1.0, 0.5, -0.1, 0.0])
+        with pytest.raises(InputError, match="nonnegative"):
+            apply_filtered_pinv(f, filtered, np.ones(5))
+        with pytest.raises(InputError, match="nonnegative"):
+            assemble_filtered_pinv(f, filtered)
 
     def test_dimension_mismatch(self, rng):
         f = svd(rng.standard_normal((5, 4)))
