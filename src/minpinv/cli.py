@@ -42,6 +42,7 @@ from .linalg import (
 from .matio import (
     dump_matrix_csv,
     format_float,
+    format_rows,
     read_matrix,
     read_vector,
     write_matrix,
@@ -83,12 +84,9 @@ def _cmd_solve(args):
     solve_report = solve(matrix, rhs, args.method, delta_abs=delta_abs,
                          rank=args.rank, alpha=args.alpha, h=args.h)
     solution = solve_report.solution
-    report = solve_report.to_dict(solution_inline=False)
-
     inline = len(solution) <= INLINE_SOLUTION_LIMIT or not args.out
-    if inline:
-        report["solution"] = [float(z) for z in solution]
-    else:
+    report = solve_report.to_dict(solution_inline=inline)
+    if not inline:
         sidecar = os.path.splitext(args.out)[0] + ".solution.csv"
         write_vector(sidecar, solution)
         report["solution_path"] = sidecar
@@ -124,9 +122,8 @@ def _cmd_pinv(args):
 def _cmd_svd_report(args):
     matrix = read_matrix(args.matrix)
     factors = svd(matrix)
-    lines = ["k,sigma"]
-    for k, value in enumerate(factors.sigma, start=1):
-        lines.append(f"{k},{format_float(value)}")
+    sigma = format_rows(factors.sigma[:, None])
+    lines = ["k,sigma", *(f"{k},{value}" for k, value in enumerate(sigma, start=1))]
     payload = "\n".join(lines) + "\n"
     report = {
         "rows": matrix.shape[0],

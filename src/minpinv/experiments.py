@@ -20,7 +20,7 @@ from . import _kernels
 from .baselines import METHODS, solve
 from .errors import InputError, SolverError
 from .linalg import require_vector, svd
-from .matio import format_float
+from .matio import format_float, format_rows
 from .mpmi import discrepancy_curve
 
 __all__ = [
@@ -393,7 +393,6 @@ def detail_json(table):
 
 
 def curve_csv(curve):
-    lines = ["level,residual_sq"]
-    for level, value in zip(curve.levels, curve.values):
-        lines.append(f"{format_float(level)},{format_float(value)}")
+    lines = ["level,residual_sq",
+             *format_rows(np.column_stack([curve.levels, curve.values]))]
     return "\n".join(lines) + "\n"

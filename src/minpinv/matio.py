@@ -6,6 +6,13 @@ standard dense "array" format (column-major values, one per line).
 Values are printed with Python's shortest round-trip ``repr`` so a
 write/read cycle reproduces every float bit-exactly.
 
+Both directions work in bulk: the writers map ``repr`` over ``tolist()``
+(Python floats, whose ``repr`` is :func:`format_float`) and the readers
+hand whole token lists to ``np.array(tokens, dtype=np.float64)``, which
+parses each ``str`` with Python's own float parser, so the readers accept
+exactly the tokens ``float()`` accepts.  Only a failed conversion goes
+back token by token, to name the first bad token in the error.
+
 Vectors are stored as single-column matrices; the readers also accept
 single-row files.
 """
@@ -23,11 +30,35 @@ def format_float(value):
     return repr(float(value))
 
 
+def format_rows(a, sep=","):
+    """Rows of a 2-D array as ``sep``-joined :func:`format_float` strings.
+
+    One row at a time goes through ``tolist``, so only one row of Python
+    floats is alive at once.
+    """
+    return [sep.join(map(repr, row.tolist()))
+            for row in np.asarray(a, dtype=np.float64)]
+
+
 def _parse_float(token, where):
     try:
         return float(token)
     except ValueError as exc:
         raise InputError(f"cannot parse number {token!r} in {where}") from exc
+
+
+def _parse_floats(tokens, where):
+    """float64 array of ``tokens`` in one conversion.
+
+    On failure the tokens are parsed one at a time, so the error names
+    the first one ``float()`` rejects.
+    """
+    try:
+        return np.array(tokens, dtype=np.float64)
+    except ValueError:
+        for token in tokens:
+            _parse_float(token, where)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +67,7 @@ def _parse_float(token, where):
 def dump_matrix_csv(a):
     a = require_matrix(a)
     m, n = a.shape
-    lines = ["rows,cols", f"{m},{n}"]
-    for row in a:
-        lines.append(",".join(format_float(x) for x in row))
+    lines = ["rows,cols", f"{m},{n}", *format_rows(a)]
     return "\n".join(lines) + "\n"
 
 
@@ -71,8 +100,7 @@ def load_matrix_csv(text, where="csv input"):
             raise InputError(
                 f"{where}: row {i + 1} has {len(parts)} entries, expected {n}"
             )
-        for j, tok in enumerate(parts):
-            out[i, j] = _parse_float(tok, f"{where} row {i + 1}")
+        out[i] = _parse_floats(parts, f"{where} row {i + 1}")
     if not np.all(np.isfinite(out)):
         raise InputError(f"{where} contains non-finite entries")
     return out
@@ -84,27 +112,27 @@ def load_matrix_csv(text, where="csv input"):
 def dump_matrix_mm(a):
     a = require_matrix(a)
     m, n = a.shape
-    lines = [MM_HEADER, f"{m} {n}"]
-    for j in range(n):          # array format stores columns contiguously
-        for i in range(m):
-            lines.append(format_float(a[i, j]))
+    # array format stores columns contiguously, one value per line
+    lines = [MM_HEADER, f"{m} {n}", *format_rows(a.T, sep="\n")]
     return "\n".join(lines) + "\n"
 
 
 def load_matrix_mm(text, where="matrixmarket input"):
     lines = text.splitlines()
-    if not lines:
+    # read_matrix sniffs the header after leading whitespace, so skip blank lines
+    first = next((k for k, ln in enumerate(lines) if ln.strip()), None)
+    if first is None:
         raise InputError(f"{where} is empty")
-    header = lines[0].strip().lower().split()
+    header = lines[first].strip().lower().split()
     if header[:2] != ["%%matrixmarket", "matrix"] or header[2:5] != [
         "array", "real", "general",
     ]:
         raise InputError(
-            f"{where}: unsupported MatrixMarket header {lines[0]!r} "
+            f"{where}: unsupported MatrixMarket header {lines[first]!r} "
             "(need 'matrix array real general')"
         )
-    rest = [ln.strip() for ln in lines[1:]]
-    rest = [ln for ln in rest if ln and not ln.startswith("%")]
+    rest = [ln for ln in map(str.strip, lines[first + 1:])
+            if ln and ln[0] != "%"]
     if not rest:
         raise InputError(f"{where} has no size line")
     dims = rest[0].split()
@@ -121,12 +149,8 @@ def load_matrix_mm(text, where="matrixmarket input"):
         raise InputError(
             f"{where}: expected {m * n} values, found {len(values)}"
         )
-    out = np.empty((m, n))
-    idx = 0
-    for j in range(n):
-        for i in range(m):
-            out[i, j] = _parse_float(values[idx], where)
-            idx += 1
+    # column-major values: read as the rows of A^T
+    out = np.ascontiguousarray(_parse_floats(values, where).reshape(n, m).T)
     if not np.all(np.isfinite(out)):
         raise InputError(f"{where} contains non-finite entries")
     return out

@@ -273,7 +273,7 @@ class SolveReport:
             "jump_root": self.jump_root,
         }
         if solution_inline:
-            out["solution"] = [float(z) for z in self.solution]
+            out["solution"] = self.solution.tolist()
         return out
 
 

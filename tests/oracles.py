@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's own numerics: the
 quartic is solved by pure bisection (not Newton), spectral sums are
 plain Python loops, pseudoinverses come from numpy's SVD with its own
 cutoff, generalized roots are located by brute-force grid bracketing or
-by a linear breakpoint scan, and truncation ranks by a loop over the
-tails.  The package takes its singular values from values-only
+by a linear breakpoint scan, truncation ranks by a loop over the tails,
+and matrix files are formatted one element at a time.  The package takes its singular values from values-only
 ``gesvd`` (dqds, accurate in the deep tail) and its singular vectors
 from ``gesdd`` (divide and conquer, several times faster);
 :func:`gesvd_factors` is the one-driver reference with values and
@@ -180,3 +180,23 @@ def matrix_error_rank_scan(tails, target):
         if tails[kappa] <= target:
             return kappa
     return len(tails) - 1
+
+
+def dump_matrix_csv_scan(a):
+    """CSV text of a 2-D float array, formatting one element at a time."""
+    m, n = a.shape
+    lines = ["rows,cols", f"{m},{n}"]
+    for row in a:
+        lines.append(",".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def dump_matrix_mm_scan(a):
+    """MatrixMarket array text of a 2-D float array, column by column,
+    formatting one element at a time."""
+    m, n = a.shape
+    lines = ["%%MatrixMarket matrix array real general", f"{m} {n}"]
+    for j in range(n):
+        for i in range(m):
+            lines.append(repr(float(a[i, j])))
+    return "\n".join(lines) + "\n"
