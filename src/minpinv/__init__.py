@@ -32,7 +32,6 @@ from .experiments import (
 from .linalg import (
     PinvCheckReport,
     SvdFactors,
-    apply_filtered_pinv,
     assemble_filtered_matrix,
     assemble_filtered_pinv,
     frobenius_norm,
@@ -75,7 +74,6 @@ __all__ = [
     "spectral_cond",
     "full_spectrum_cond",
     "reciprocal_or_zero",
-    "apply_filtered_pinv",
     "assemble_filtered_pinv",
     "assemble_filtered_matrix",
     "moore_penrose_check",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, SolverError
 from .linalg import SvdFactors, require_vector, spectrum_cond, svd
-from .mpm import filtered_spectrum, solve_level
+from .mpm import filtered_spectrum, solve_generalized_root, solve_level
 from .mpmi import discrepancy_target, head_residual_sq, mpmi_spectrum, spectral_report
 
 __all__ = [
@@ -110,42 +110,34 @@ def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
 
 
 def _alpha_by_discrepancy(values, sigma, coeffs, delta_abs):
-    """Bisection on log(alpha) over [eps * sigma_1^2, 1e6 * sigma_1^2]; the
-    spectral residual is continuous and strictly increasing in alpha, so
-    the bracket either contains the root or the data is out of reach.
+    """Alpha whose squared residual is within 1e-10 ||u||^2 of the target.
+
+    The residual is continuous and increasing in alpha, so
+    :func:`~minpinv.mpm.solve_generalized_root` finds it with zero jumps,
+    bracketing it between the ascending sigma_k^2 and 1e6 sigma_1^2.
+    Raises "bracket exhausted" when the target lies above the upper end
+    or the bracket closes on adjacent floats short of the tolerance.
     """
     rank = len(sigma)
     target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
     head_sq = coeffs[:rank] ** 2
+    seen = {}
 
     def residual_sq(alpha):
-        return head_residual_sq(sigma, values(sigma, alpha), head_sq) + floor_sq
+        seen[alpha] = head_residual_sq(sigma, values(sigma, alpha), head_sq) + floor_sq
+        return seen[alpha]
 
-    top = float(sigma[0]) ** 2
-    lo, hi = np.finfo(np.float64).eps * top, 1e6 * top
+    breaks = np.append(sigma[::-1] ** 2, 1e6 * float(sigma[0]) ** 2)
     tol = 1e-10 * u_norm_sq
-    f_lo = residual_sq(lo)
-    f_hi = residual_sq(hi)
-    if f_lo > target + tol or f_hi < target - tol:
+    alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
+                                      target, tol)
+    # every level the finder returns is one it evaluated
+    if not abs(seen[alpha] - target) <= tol:
         raise SolverError(
             "bracket exhausted",
-            f"residual^2 at bracket ends [{f_lo}, {f_hi}] misses target {target}",
+            f"residual^2 {seen[alpha]} at alpha {alpha} misses target {target}",
         )
-    log_lo, log_hi = np.log(lo), np.log(hi)
-    for _ in range(300):
-        log_mid = 0.5 * (log_lo + log_hi)
-        alpha = float(np.exp(log_mid))
-        value = residual_sq(alpha)
-        if abs(value - target) <= tol:
-            return alpha
-        if value < target:
-            log_lo = log_mid
-        else:
-            log_hi = log_mid
-    raise SolverError(
-        "bracket exhausted",
-        "discrepancy bisection did not reach tolerance",
-    )
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -182,13 +174,16 @@ def morozov_solve(factors, u, alpha):
 
 
 def _mpm_spectrum(factors, coeffs, h):
-    """Quartic-filtered positive singular values at the level that spends
-    the matrix error budget ``h``."""
+    """Quartic-filtered singular values at the level that spends the matrix
+    error budget ``h``, over the rank or the survivors if they reach past
+    it (a tiny ``h``); the survivors are a prefix, as the breakpoints fall.
+    """
     level, jumped = solve_level(h, factors.sigma)
-    return filtered_spectrum(factors.sigma[factors.sigma > 0.0], level), level, jumped
+    s = filtered_spectrum(factors.sigma[factors.sigma > 0.0], level)
+    return s[: max(factors.rank, np.count_nonzero(s))], level, jumped
 
 
-# method -> (chooser, accepted parameters).  A chooser maps (factors, U^T u,
+# method -> (chooser, accepted parameters).  A chooser maps (factors, coeffs,
 # one parameter) to (effective spectrum, chosen parameter, jump_root).  The
 # first accepted parameter is the method's noise or matrix error bound.
 METHODS = {
@@ -237,4 +232,6 @@ def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
     factors = a if isinstance(a, SvdFactors) else svd(a)
     coeffs = factors.project_rhs(u)
     s, parameter, jumped = chooser(factors, coeffs, **given)
+    if len(s) > factors.rank:   # mpm survivors past the rank; see _mpm_spectrum
+        coeffs = factors.project_rhs(u, len(s))
     return spectral_report(factors, coeffs, method, s, parameter, jumped)

@@ -13,6 +13,7 @@ public entry points validate finiteness and shapes and raise
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -70,9 +71,9 @@ class SvdFactors:
     ``sigma`` has length min(m, n) and is nonincreasing; columns of
     ``u`` / ``v`` are the singular vectors (A = U diag(sigma) V^T).
     :func:`svd` takes ``sigma`` from values-only ``gesvd`` and ``u`` /
-    ``v`` from ``gesdd`` (see the module docstring).  U and V stay full
-    so that the columns past the rank span the complement that the
-    residual floor lives in.
+    ``v`` from ``gesdd`` (see the module docstring).  Solves read only
+    the leading columns (:meth:`project_rhs`); U and V stay full so that
+    reports and checks can still reach the complement of the range.
     ``rank_tolerance`` fixes the numerical rank: #{k : sigma_k > tol}.
     """
 
@@ -85,18 +86,29 @@ class SvdFactors:
     def shape(self):
         return (self.u.shape[0], self.v.shape[0])
 
-    @property
+    @cached_property
     def rank(self):
         return int(np.sum(self.sigma > self.rank_tolerance))
 
-    def project_rhs(self, u):
-        """Coordinates U^T u of a right-hand side in the left singular basis."""
+    def project_rhs(self, u, width=None):
+        """U_w^T u over the leading w = ``width`` columns (default: the
+        numerical rank), then one floor coordinate ||u - U_w U_w^T u||.
+
+        The result keeps the norm of u, and for k <= w its squared tail past
+        index k is ||U[:, k:]^T u||^2, at k = rank the squared residual
+        floor.  The floor is exactly 0.0 when w = m; it is taken from the
+        residual vector because ||u||^2 - ||U_w^T u||^2 cancels and can go
+        negative.  Cost O(m w) rather than O(m^2).
+        """
         u = require_vector(u, "right-hand side")
         if u.shape[0] != self.u.shape[0]:
             raise InputError(
                 f"right-hand side length {u.shape[0]} does not match m={self.u.shape[0]}"
             )
-        return self.u.T @ u
+        basis = self.u[:, : self.rank if width is None else width]
+        head = basis.T @ u
+        full = basis.shape[1] == u.shape[0]
+        return np.append(head, 0.0 if full else np.linalg.norm(u - basis @ head))
 
     def with_rank_tolerance(self, tol):
         if tol < 0.0:
@@ -134,25 +146,6 @@ def svd(a, rank_tolerance=None):
     elif rank_tolerance < 0.0:
         raise InputError("rank tolerance must be nonnegative")
     return SvdFactors(_freeze(u), _freeze(sigma), _freeze(vt.T), float(rank_tolerance))
-
-
-def apply_filtered_pinv(factors, filtered_sigma, u):
-    """Apply V diag(1/filtered_k or 0) U^T to ``u`` without forming it.
-
-    ``filtered_sigma`` is any regularized spectrum of length min(m, n);
-    zero entries are treated as truncated.
-    """
-    filtered_sigma = require_vector(filtered_sigma, "filtered spectrum")
-    big_m = len(factors.sigma)
-    if filtered_sigma.shape[0] != big_m:
-        raise InputError(
-            f"filtered spectrum length {filtered_sigma.shape[0]} != min(m,n)={big_m}"
-        )
-    if np.any(filtered_sigma < 0.0):
-        raise InputError("filtered spectrum must be nonnegative")
-    coeffs = factors.project_rhs(u)[:big_m]
-    inv = np.where(filtered_sigma > 0.0, coeffs / np.where(filtered_sigma > 0.0, filtered_sigma, 1.0), 0.0)
-    return factors.v[:, :big_m] @ inv
 
 
 def assemble_filtered_pinv(factors, filtered_sigma):

@@ -112,19 +112,19 @@ def mpmi_x(rho, level):
 def residual_floor(factors, u):
     """Norm of the right-hand side component outside the matrix range.
 
-    Computed as the coordinate tail of U^T u past the numerical rank;
-    equals the residual of the plain normal pseudosolution.
+    This is the floor coordinate of
+    :meth:`~minpinv.linalg.SvdFactors.project_rhs`; it equals the
+    residual of the plain normal pseudosolution.
     """
-    coeffs = factors.project_rhs(u)
-    tail = coeffs[factors.rank:]
-    return float(np.sqrt(np.sum(tail * tail)))
+    return float(factors.project_rhs(u)[-1])
 
 
 def discrepancy_sq(level, coeffs, family):
     """Squared solution residual at a filter level, in spectral form.
 
-    ``coeffs`` are U^T u and ``family`` carries the singular values of
-    the numerical-rank block.  The head sums (1 - theta[x_k])^2 over that
+    ``coeffs`` come from :meth:`~minpinv.linalg.SvdFactors.project_rhs`
+    over at least the ``family.rank`` leading columns, whose singular
+    values ``family`` carries.  The head sums (1 - theta[x_k])^2 over that
     block; the tail (the squared residual floor) is unreachable by any
     filter.
     """
@@ -162,10 +162,10 @@ def _ascending_breaks(family, coeffs_sq):
 
 def discrepancy_curve(factors, u, family=None, num=257):
     """Sample the squared-residual curve for plotting/reporting."""
-    coeffs = factors.project_rhs(u)
     if family is None:
         family = MpmiFilterFamily(factors.sigma, factors.rank)
     rank = family.rank
+    coeffs = factors.project_rhs(u, rank)
     floor_sq = float(np.sum(coeffs[rank:] ** 2))
     plateau_sq = floor_sq + float(np.sum(coeffs[:rank] ** 2))
     breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
@@ -191,8 +191,8 @@ def discrepancy_curve(factors, u, family=None, num=257):
 
 def discrepancy_target(coeffs, rank, delta_abs):
     """Discrepancy target delta_abs^2 + floor^2 for right-hand side
-    coordinates ``coeffs`` = U^T u, the floor being the coordinate tail
-    past ``rank``.
+    coordinates ``coeffs`` from :meth:`~minpinv.linalg.SvdFactors.project_rhs`,
+    the floor being the coordinate tail past ``rank``.
 
     Returns ``(target, floor_sq, u_norm_sq)``.  Raises "noise dominates
     signal" when the target reaches the plateau ||u||^2.
@@ -211,7 +211,7 @@ def discrepancy_target(coeffs, rank, delta_abs):
 
 
 def _filter_level(coeffs, delta_abs, family):
-    """``(level, jumped)`` of the discrepancy equation for U^T u = ``coeffs``."""
+    """``(level, jumped)`` of the discrepancy equation for projected ``coeffs``."""
     rank = family.rank
     target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
     breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
@@ -231,9 +231,9 @@ def solve_filter_level(factors, u, delta_abs, family=None, with_curve=True):
     ``with_curve`` is False.  Raises "noise dominates signal" when the
     target reaches the plateau ||u||^2.
     """
-    coeffs = factors.project_rhs(u)
     if family is None:
         family = MpmiFilterFamily(factors.sigma, factors.rank)
+    coeffs = factors.project_rhs(u, family.rank)
     level, jumped = _filter_level(coeffs, delta_abs, family)
     curve = discrepancy_curve(factors, u, family) if with_curve else None
     return level, curve, jumped
@@ -291,8 +291,10 @@ def head_residual_sq(sigma, s, coeffs_sq):
 def spectral_report(factors, coeffs, method, s, parameter, jump_root=False):
     """The :class:`SolveReport` of z = V (c / s) for an effective spectrum.
 
-    ``coeffs`` are U^T u.  ``s`` covers the leading r = len(s) indices;
-    s_k = 0 truncates index k and every index past r is truncated.  The
+    ``coeffs`` come from :meth:`~minpinv.linalg.SvdFactors.project_rhs`
+    over at least the numerical rank and r = len(s) columns.  ``s`` covers
+    the leading r indices; s_k = 0 truncates index k and every index past
+    r is truncated.  The
     residual, effective rank #(s > 0), condition number max/min(s > 0)
     and residual floor all come from ``coeffs``, with no second
     projection.

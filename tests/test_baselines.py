@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import minpinv.baselines
 import oracles
 from minpinv.baselines import (
     METHODS,
+    _alpha_by_discrepancy,
     _coeff_tails,
     discrepancy_alpha,
     morozov_solve,
@@ -20,8 +22,9 @@ from minpinv.baselines import (
     tsvd_solve,
 )
 from minpinv.errors import InputError, SolverError
+from minpinv.experiments import perturb_rhs
 from minpinv.linalg import spectral_cond, svd
-from minpinv.mpm import spectrum_distance_sq
+from minpinv.mpm import solve_generalized_root, spectrum_distance_sq
 from minpinv.mpmi import (
     MpmiFilterFamily,
     discrepancy_sq,
@@ -29,6 +32,12 @@ from minpinv.mpmi import (
     mpmi_x,
     residual_floor,
 )
+
+# Median residual evaluations per tr / morozov desk solve (6 noise levels
+# x seeds 0-3) with the breakpoint root finder; the log-alpha bisection
+# before it took 29.
+DESK_ALPHA_EVALS = {"tr": 12, "morozov": 12}
+DESK_DELTAS = (0.005, 0.01, 0.05, 0.1, 0.2, 0.3)
 
 # Integer-valued entries make tails and targets exact, so ties between a
 # tail and the target (the "<=" boundary) come up often.
@@ -277,6 +286,68 @@ class TestDiscrepancyAlpha:
         f = svd(np.diag([1.0]))
         with pytest.raises(SolverError, match="noise dominates"):
             discrepancy_alpha(f, np.array([2.0]), 3.0, method="tr")
+
+    @pytest.mark.parametrize("method", ["tr", "morozov"])
+    def test_desk_alpha_meets_tolerance(self, method, desk_problem, desk_factors):
+        # closed forms of 1 - sigma_k / s_k, independent of the solver's
+        # spectrum code: alpha / (alpha + sigma^2) for tr, and
+        # 1 - sigma^4 / (alpha + sigma^2)^2 for morozov
+        f = desk_factors
+        sigma = f.sigma[: f.rank]
+        norm = float(np.linalg.norm(desk_problem.exact_rhs))
+        for delta in DESK_DELTAS:
+            for seed in range(4):
+                u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
+                alpha = solve(f, u, method, delta_abs=delta * norm).parameter
+                coeffs = f.u.T @ u
+                shrink = sigma * sigma / (alpha + sigma * sigma)
+                gap = 1.0 - shrink if method == "tr" else 1.0 - shrink * shrink
+                value = float(np.sum((gap * coeffs[: f.rank]) ** 2)
+                              + np.sum(coeffs[f.rank:] ** 2))
+                target = (delta * norm) ** 2 + float(np.sum(coeffs[f.rank:] ** 2))
+                assert abs(value - target) <= 1e-10 * float(u @ u)
+
+    @pytest.mark.parametrize("method", ["tr", "morozov"])
+    def test_evaluations_per_desk_solve(self, method, desk_problem, desk_factors,
+                                        monkeypatch):
+        counts = []
+
+        def counting(eval_fn, *args, **kwargs):
+            calls = []
+
+            def counted(alpha):
+                calls.append(alpha)
+                return eval_fn(alpha)
+
+            result = solve_generalized_root(counted, *args, **kwargs)
+            counts.append(len(calls))
+            return result
+
+        monkeypatch.setattr(minpinv.baselines, "solve_generalized_root", counting)
+        norm = float(np.linalg.norm(desk_problem.exact_rhs))
+        for delta in DESK_DELTAS:
+            for seed in range(4):
+                u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
+                solve(desk_factors, u, method, delta_abs=delta * norm)
+        assert len(counts) == 24
+        assert np.median(counts) <= 2 * DESK_ALPHA_EVALS[method]
+
+    def test_missed_tolerance_is_an_error(self):
+        # the residual jumps from 0 to 4 at alpha = 1/2, over the target 1:
+        # no alpha meets it, and the bracket closes on two adjacent floats
+        def step(sigma, alpha):
+            return sigma if alpha < 0.5 else np.full_like(sigma, np.inf)
+
+        sigma, coeffs = np.array([1.0]), np.array([2.0, 0.0])
+        with pytest.raises(SolverError, match="bracket exhausted"):
+            _alpha_by_discrepancy(step, sigma, coeffs, 1.0)
+
+    def test_target_above_the_upper_end(self):
+        # at alpha = 1e6 sigma_1^2 the residual is still 4 (1 - 1e-6)^2,
+        # short of a target within 1e-10 ||u||^2 of the plateau 4
+        f = svd(np.diag([1.0]))
+        with pytest.raises(SolverError, match="bracket exhausted"):
+            discrepancy_alpha(f, np.array([2.0]), np.sqrt(4.0 - 1e-9), method="tr")
 
     def test_unknown_method(self):
         f = svd(np.diag([1.0]))

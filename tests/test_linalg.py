@@ -10,7 +10,6 @@ from minpinv.errors import InputError, SolverError
 from minpinv.experiments import build_poisson, perturb_rhs
 from minpinv.linalg import (
     EPS,
-    apply_filtered_pinv,
     assemble_filtered_matrix,
     assemble_filtered_pinv,
     frobenius_norm,
@@ -20,6 +19,7 @@ from minpinv.linalg import (
     spectral_cond,
     svd,
 )
+from minpinv.mpm import filtered_spectrum, solve_level
 
 
 def orth_tol(factors):
@@ -150,6 +150,69 @@ class TestMixedDrivers:
             assert np.sum(coeffs[f.rank:] ** 2) == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.fixture(scope="module")
+def projection_cases():
+    """(factors, right-hand side) pairs whose numerical rank is below m:
+    the 299x301 model problem (rank 198) and a random rank-deficient one."""
+    rng = np.random.default_rng(7)
+    problem = build_poisson(299, 301, 0.1)
+    deficient = oracles.rank_matrix(rng, 30, 24, 11)
+    return [(svd(problem.matrix), perturb_rhs(problem.exact_rhs, 0.05, 0)),
+            (svd(deficient), rng.standard_normal(30))]
+
+
+class TestProjectRhs:
+    """Coordinates on the rank block plus one floor coordinate."""
+
+    def test_matches_full_projection(self, projection_cases):
+        for f, u in projection_cases:
+            assert f.rank < f.u.shape[0]
+            coeffs = f.project_rhs(u)
+            full = f.u.T @ u
+            assert len(coeffs) == f.rank + 1
+            head_gap = np.linalg.norm(coeffs[: f.rank] - full[: f.rank])
+            assert head_gap <= 1e-13 * np.linalg.norm(full[: f.rank])
+            tail = np.linalg.norm(f.u[:, f.rank:].T @ u)
+            assert coeffs[-1] == pytest.approx(tail, rel=1e-12)
+
+    def test_full_rank_floor_is_exactly_zero(self, rng, desk_factors, desk_problem):
+        cases = [(desk_factors, perturb_rhs(desk_problem.exact_rhs, 0.05, 0)),
+                 (svd(rng.standard_normal((6, 9))), rng.standard_normal(6))]
+        for f, u in cases:
+            assert f.rank == f.u.shape[0]
+            coeffs = f.project_rhs(u)
+            assert coeffs[-1] == 0.0
+            np.testing.assert_array_equal(coeffs[:-1], f.u.T @ u)
+
+    def test_rank_is_computed_once(self, rng):
+        f = svd(rng.standard_normal((5, 4)))
+        assert f.rank == 4
+        assert f.rank is f.__dict__["rank"]
+        assert f.with_rank_tolerance(1e300).rank == 0
+
+    def test_mpm_survivors_past_the_rank(self, projection_cases):
+        # a budget far below the energy past the rank keeps indices past it
+        # alive; the solve must then project onto those columns too
+        for f, u in projection_cases:
+            positive = f.sigma[f.sigma > 0.0]
+            h = 1e-3 * float(np.linalg.norm(positive[f.rank:]))
+            report = solve(f, u, "mpm", h=h)
+            assert report.effective_rank > f.rank
+            # reference from the full U^T u and the whole positive spectrum
+            level, _ = solve_level(h, f.sigma)
+            s = filtered_spectrum(positive, level)
+            full = f.u.T @ u
+            head = full[: len(s)]
+            z = f.v[:, : len(s)] @ np.divide(head, s, out=np.zeros(len(s)), where=s > 0.0)
+            ratio = np.divide(positive, s, out=np.zeros(len(s)), where=s > 0.0)
+            resid_sq = np.sum(((1.0 - ratio) * head) ** 2) + np.sum(full[len(s):] ** 2)
+            assert np.linalg.norm(report.solution - z) <= 1e-12 * np.linalg.norm(z)
+            assert report.residual == pytest.approx(np.sqrt(resid_sq), rel=1e-12)
+            assert report.residual_floor == pytest.approx(
+                np.linalg.norm(full[f.rank:]), rel=1e-12)
+            assert report.effective_rank == int(np.sum(s > 0.0))
+
+
 class TestReciprocalOrZero:
     def test_values(self):
         assert reciprocal_or_zero(0.0) == 0.0
@@ -162,21 +225,23 @@ class TestReciprocalOrZero:
 
 
 class TestApplyFilteredPinv:
+    """A filtered pseudoinverse, materialized or applied through solve."""
+
     def test_unfiltered_square_inverse(self, rng):
         a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
         f = svd(a)
         u = rng.standard_normal(6)
-        z = apply_filtered_pinv(f, f.sigma, u)
+        z = assemble_filtered_pinv(f, f.sigma) @ u
         np.testing.assert_allclose(z, np.linalg.solve(a, u), rtol=1e-9)
 
     def test_all_zero_filter(self, rng):
         f = svd(rng.standard_normal((5, 4)))
-        z = apply_filtered_pinv(f, np.zeros(4), rng.standard_normal(5))
+        z = assemble_filtered_pinv(f, np.zeros(4)) @ rng.standard_normal(5)
         np.testing.assert_array_equal(z, np.zeros(4))
 
     def test_forced_truncation(self):
         f = svd(np.diag([2.0, 1.0]))
-        z = apply_filtered_pinv(f, np.array([2.0, 0.0]), np.array([4.0, 3.0]))
+        z = assemble_filtered_pinv(f, np.array([2.0, 0.0])) @ np.array([4.0, 3.0])
         np.testing.assert_allclose(z, [2.0, 0.0], atol=1e-14)
 
     def test_matches_materialized(self, rng):
@@ -185,7 +250,7 @@ class TestApplyFilteredPinv:
         filtered = f.sigma.copy()
         filtered[3:] = 0.0
         u = rng.standard_normal(8)
-        z_op = apply_filtered_pinv(f, filtered, u)
+        z_op = solve(f, u, "tsvd", rank=3).solution
         z_mat = assemble_filtered_pinv(f, filtered) @ u
         np.testing.assert_allclose(z_op, z_mat, atol=1e-12)
 
@@ -193,16 +258,14 @@ class TestApplyFilteredPinv:
         f = svd(rng.standard_normal((5, 4)))
         filtered = np.array([1.0, 0.5, -0.1, 0.0])
         with pytest.raises(InputError, match="nonnegative"):
-            apply_filtered_pinv(f, filtered, np.ones(5))
-        with pytest.raises(InputError, match="nonnegative"):
             assemble_filtered_pinv(f, filtered)
 
     def test_dimension_mismatch(self, rng):
         f = svd(rng.standard_normal((5, 4)))
         with pytest.raises(InputError):
-            apply_filtered_pinv(f, np.ones(3), np.ones(5))
+            assemble_filtered_pinv(f, np.ones(3))
         with pytest.raises(InputError):
-            apply_filtered_pinv(f, np.ones(4), np.ones(4))
+            f.project_rhs(np.ones(4))
 
 
 class TestMoorePenrose:
