@@ -121,22 +121,13 @@ def _alpha_by_discrepancy(values, sigma, coeffs, delta_abs):
     rank = len(sigma)
     target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
     head_sq = coeffs[:rank] ** 2
-    seen = {}
 
     def residual_sq(alpha):
-        seen[alpha] = head_residual_sq(sigma, values(sigma, alpha), head_sq) + floor_sq
-        return seen[alpha]
+        return head_residual_sq(sigma, values(sigma, alpha), head_sq) + floor_sq
 
     breaks = np.append(sigma[::-1] ** 2, 1e6 * float(sigma[0]) ** 2)
-    tol = 1e-10 * u_norm_sq
     alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
-                                      target, tol)
-    # every level the finder returns is one it evaluated
-    if not abs(seen[alpha] - target) <= tol:
-        raise SolverError(
-            "bracket exhausted",
-            f"residual^2 {seen[alpha]} at alpha {alpha} misses target {target}",
-        )
+                                      target, 1e-10 * u_norm_sq)
     return alpha
 
 

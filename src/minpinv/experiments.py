@@ -256,15 +256,33 @@ class ExperimentTable:
     records: tuple
 
 
+def _median(values):
+    """np.median's value for a list of NaN-free floats, without numpy: the
+    middle value, or the two middle values' sum halved, as ``np.mean``
+    takes it."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 def _aggregate(config, records):
-    agg = np.median if config.aggregation == "median" else np.mean
+    """One row per (method, delta) of the configuration, from one pass that
+    groups the records.  The reductions give np.median's and np.mean's
+    bits: "mean" keeps np.mean, whose pairwise sum a plain loop would
+    not match, and the jump fraction counts exactly before it divides."""
+    agg = _median if config.aggregation == "median" else np.mean
+    cells = {}
+    for r in records:
+        cells.setdefault((r.method, r.delta), []).append(r)
     rows = []
     for method in config.methods:
         for delta in config.deltas:
-            cell = [r for r in records if r.method == method and r.delta == delta]
+            cell = cells.get((method, delta), [])
             good = [r for r in cell if r.error is None]
             if good:
-                params = np.array([r.parameter for r in good], dtype=np.float64)
+                params = [r.parameter for r in good]
                 row = TableRow(
                     method=method,
                     delta=delta,
@@ -272,10 +290,10 @@ def _aggregate(config, records):
                     failures=len(cell) - len(good),
                     accuracy=float(agg([r.accuracy for r in good])),
                     condition_number=float(agg([r.condition_number for r in good])),
-                    jump_fraction=float(np.mean([r.jump_root for r in good])),
-                    param_min=float(np.min(params)),
-                    param_median=float(np.median(params)),
-                    param_max=float(np.max(params)),
+                    jump_fraction=sum(r.jump_root for r in good) / len(good),
+                    param_min=min(params),
+                    param_median=_median(params),
+                    param_max=max(params),
                 )
             else:
                 row = TableRow(method, delta, len(cell), len(cell),

@@ -17,12 +17,18 @@ Vectors are stored as single-column matrices; the readers also accept
 single-row files.
 """
 
+import re
+
 import numpy as np
 
 from .errors import InputError
 from .linalg import require_matrix, require_vector
 
 MM_HEADER = "%%MatrixMarket matrix array real general"
+
+# The MatrixMarket banner after any leading whitespace; ``\s`` matches
+# exactly what ``str.lstrip()`` strips, and matching copies no text.
+_MM_BANNER = re.compile(r"\s*%%MatrixMarket")
 
 
 def format_float(value):
@@ -175,7 +181,7 @@ def read_matrix(path):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if text.lstrip().startswith("%%MatrixMarket") or _is_mm_path(path):
+    if _MM_BANNER.match(text) or _is_mm_path(path):
         return load_matrix_mm(text, where=str(path))
     return load_matrix_csv(text, where=str(path))
 

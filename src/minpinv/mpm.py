@@ -46,14 +46,9 @@ def quartic_root(t):
 
 
 def level_breakpoints(sigma):
-    """Truncation levels (27/16) * sigma_k**4, bit-identical to the kernels.
-
-    The fourth power is computed as chained products: ``sigma**4`` can
-    differ in the last ulp, and the breakpoint comparisons inside the
-    kernels are exact.
-    """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return QUARTIC_MAX * (sigma * sigma * sigma * sigma)
+    """Truncation levels (27/16) * sigma_k**4: the very floats the quartic
+    filter compares levels with (see :class:`~minpinv._kernels.QuarticFilter`)."""
+    return _kernels.QuarticFilter(sigma).breaks
 
 
 def _check_spectrum(sigma):
@@ -97,10 +92,16 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     ``jumps[i]`` the jump height at ``breaks[i]``.  Returns
     ``(level, jumped)`` where either the interior root satisfies
     |f(level) - target| <= tol_abs, or ``level`` is a breakpoint whose
-    left/right values sandwich the target, or the bracket has shrunk to
-    two adjacent floats and ``level`` is its upper end, the smallest
-    level tried with f(level) >= target.  ``level`` is a Python float.
+    left/right values sandwich the target.  ``level`` is a Python float.
     The caller must ensure f(0) < target < sup f.
+
+    When the bracket shrinks to two adjacent floats, no level meets the
+    tolerance: f steps by more than ``tol_abs`` within one ulp, which a
+    continuous f only does below its float resolution.  With
+    ``tol_abs = 0``, which asks for that resolution, the upper end (the
+    smallest level tried with f(level) >= target) is returned; with a
+    positive tolerance f has a step that ``breaks`` does not declare, and
+    the finder raises "bracket exhausted".
 
     The right limits f(b_i) + jumps[i] never decrease, so the bracket
     (the first breakpoint whose right limit reaches the target) is found
@@ -147,6 +148,12 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
         if bisect:
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
+                if tol_abs > 0.0:
+                    raise SolverError(
+                        "bracket exhausted",
+                        f"f steps over target {target} between adjacent "
+                        f"levels {a!r} and {b!r}",
+                    )
                 return float(b), False
         g = eval_fn(mid) - target
         if abs(g) <= tol_abs:
@@ -172,8 +179,8 @@ def solve_level(matrix_error, sigma):
     """
     if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
-    sigma = _check_spectrum(sigma)
-    positive = sigma[sigma > 0.0]
+    quartic = _kernels.QuarticFilter(_check_spectrum(sigma))
+    positive = quartic.sigma[: quartic.positive]
     total_energy = float(np.sum(positive * positive))
     target = matrix_error * matrix_error
     if target >= total_energy:
@@ -183,14 +190,10 @@ def solve_level(matrix_error, sigma):
         )
     # (3/2 rho - rho)^2 = rho^2/4 flips to rho^2 past the breakpoint
     breaks, jumps = ascending_breakpoints(
-        level_breakpoints(positive), 0.75 * (positive * positive)
+        quartic.breaks[: quartic.positive], 0.75 * (positive * positive)
     )
-
-    def distance(level):
-        return float(_kernels.spectrum_distance_sq(sigma, level))
-
     return solve_generalized_root(
-        distance, breaks, jumps, target, tol_abs=1e-12 * target
+        quartic.distance_sq(), breaks, jumps, target, tol_abs=1e-12 * target
     )
 
 

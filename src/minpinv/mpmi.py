@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, SolverError
 from .linalg import SvdFactors, spectrum_cond, svd
-from .mpm import ascending_breakpoints, level_breakpoints, solve_generalized_root
+from .mpm import ascending_breakpoints, filtered_spectrum, solve_generalized_root
 
 __all__ = [
     "FilterFamily",
@@ -55,6 +55,9 @@ class FilterFamily:
       * 1/x_k(h) (0 once truncated) nonincreasing in h.
 
     ``slopes`` give the small-h expansion x_k(h) ~ 1 + slopes[k] * h.
+    A member only defines ``x_values``; ``residual_sq`` builds the
+    squared residual from it, and a member may override it with a
+    faster evaluation of the same function.
     """
 
     sigma: np.ndarray
@@ -76,9 +79,28 @@ class FilterFamily:
         x = self.x_values(level)
         return np.where(x > 0.0, 1.0 / np.where(x > 0.0, x, 1.0), 0.0)
 
+    def residual_sq(self, coeffs):
+        """Squared solution residual as a function of the filter level,
+        for right-hand side coordinates ``coeffs`` (see
+        :func:`discrepancy_sq`), set up once for many levels."""
+        rank = self.rank
+        head_sq = coeffs[:rank] ** 2
+        tail = coeffs[rank:]
+        floor_sq = float(np.sum(tail * tail))
+
+        def value(level):
+            s = self.sigma * self.x_values(level)
+            return head_residual_sq(self.sigma, s, head_sq) + floor_sq
+
+        return value
+
 
 class MpmiFilterFamily(FilterFamily):
-    """Quartic inflation law: x solves x**4 - x**3 = h / sigma_k**4."""
+    """Quartic inflation law: x solves x**4 - x**3 = h / sigma_k**4.
+
+    The quartic is evaluated by one :class:`~minpinv._kernels.QuarticFilter`
+    set up with the family, on the live prefix of the spectrum only.
+    """
 
     def __init__(self, sigma, rank=None):
         sigma = np.asarray(sigma, dtype=np.float64)
@@ -88,8 +110,11 @@ class MpmiFilterFamily(FilterFamily):
             raise InputError(f"filter family rank {rank} out of range")
         if sigma[rank - 1] <= 0.0:
             raise InputError("filter family needs positive singular values")
+        if np.any(np.diff(sigma[:rank]) > 0.0):
+            raise InputError("filter family needs a nonincreasing spectrum")
         self.sigma = sigma[:rank].copy()
-        self.breaks = level_breakpoints(self.sigma)
+        self.quartic = _kernels.QuarticFilter(self.sigma)
+        self.breaks = self.quartic.breaks
         self.cap = 1.5 * float(self.breaks[0])
         self.upper_bounds = np.full(rank, 1.5)
         self.slopes = self.sigma ** -4.0
@@ -97,7 +122,10 @@ class MpmiFilterFamily(FilterFamily):
     def x_values(self, level):
         if not level >= 0.0:
             raise InputError("filter level must be nonnegative")
-        return _kernels.filter_x(self.sigma, float(level))
+        return self.quartic.x_values(float(level))
+
+    def residual_sq(self, coeffs):
+        return self.quartic.residual_sq(coeffs)
 
 
 def mpmi_x(rho, level):
@@ -128,13 +156,9 @@ def discrepancy_sq(level, coeffs, family):
     block; the tail (the squared residual floor) is unreachable by any
     filter.
     """
-    rank = family.rank
     if not level >= 0.0:
         raise InputError("filter level must be nonnegative")
-    s = family.sigma * family.x_values(level)
-    head = head_residual_sq(family.sigma, s, coeffs[:rank] ** 2)
-    tail = coeffs[rank:]
-    return head + float(np.sum(tail * tail))
+    return family.residual_sq(coeffs)(level)
 
 
 @dataclass(frozen=True)
@@ -171,12 +195,9 @@ def discrepancy_curve(factors, u, family=None, num=257):
     breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
     top = breaks[-1]
     levels = np.concatenate([[0.0], np.geomspace(breaks[0] * 1e-3, top * 1.05, num - 1)])
-    values = np.array(
-        [discrepancy_sq(float(lv), coeffs, family) for lv in levels]
-    )
-    lefts = np.array(
-        [discrepancy_sq(b, coeffs, family) for b in breaks]
-    )
+    residual_sq = family.residual_sq(coeffs)
+    values = np.array([residual_sq(float(lv)) for lv in levels])
+    lefts = np.array([residual_sq(float(b)) for b in breaks])
     rights = lefts + jumps
     return DiscrepancyCurve(
         levels=levels,
@@ -215,12 +236,9 @@ def _filter_level(coeffs, delta_abs, family):
     rank = family.rank
     target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
     breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
-
-    def total(level):
-        return discrepancy_sq(level, coeffs, family)
-
     return solve_generalized_root(
-        total, breaks, jumps, target, tol_abs=1e-12 * u_norm_sq
+        family.residual_sq(coeffs), breaks, jumps, target,
+        tol_abs=1e-12 * u_norm_sq,
     )
 
 
@@ -324,7 +342,7 @@ def mpmi_spectrum(factors, coeffs, delta_abs):
     """
     family = MpmiFilterFamily(factors.sigma, factors.rank)
     level, jumped = _filter_level(coeffs, delta_abs, family)
-    return family.sigma * family.x_values(level), level, jumped
+    return filtered_spectrum(family.sigma, level), level, jumped
 
 
 def mpmi_solve(a, u, delta_abs, with_curve=False):

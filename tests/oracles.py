@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here deliberately avoids the package's own numerics: the
-quartic is solved by pure bisection (not Newton), spectral sums are
+quartic is solved by pure bisection (not Newton), table rows are reduced
+by numpy over one filtered cell at a time, spectral sums are
 plain Python loops, pseudoinverses come from numpy's SVD with its own
 cutoff, generalized roots are located by brute-force grid bracketing or
 by a linear breakpoint scan, truncation ranks by a loop over the tails,
@@ -34,11 +35,33 @@ def quartic_bisect(t, iters=200):
     return 0.5 * (lo + hi)
 
 
+def quartic_excess_bisect_array(t, iters=140):
+    """Bisection-only y = x - 1 with (1 + y)**3 y = t on [0, 1/2], elementwise,
+    in numpy's extended precision where the platform has one.  140 halvings
+    pin y to well below one ulp of itself for t down to about 1e-20."""
+    t = np.asarray(t, dtype=np.longdouble)
+    lo = np.zeros_like(t)
+    hi = np.full_like(t, 0.5)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        below = (1 + mid) ** 3 * mid < t
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def fourth_power(rho):
+    """rho**4 as chained products, the package's breakpoint convention:
+    ``rho ** 4`` can differ in the last ulp, and a level placed exactly on
+    a breakpoint must meet the same float."""
+    return rho * rho * rho * rho
+
+
 def mpm_filtered_value(rho, lam):
     """Left-continuous filtered singular value, straight from the rules."""
     if rho <= 0.0:
         return 0.0
-    brk = QUARTIC_TOP * rho ** 4
+    brk = QUARTIC_TOP * fourth_power(rho)
     if lam == 0.0:
         return rho
     if lam > brk:
@@ -62,7 +85,7 @@ def mpmi_beta_sq(level, sigma_head, v, rank):
     total = 0.0
     for k in range(rank):
         s = sigma_head[k]
-        brk = QUARTIC_TOP * s ** 4
+        brk = QUARTIC_TOP * fourth_power(s)
         if level == 0.0:
             theta = 1.0
         elif level > brk:
@@ -147,6 +170,37 @@ def generalized_root_scan(eval_fn, breaks, jumps, target, tol_abs):
             return float(brk), True
         prev = brk
     raise ValueError(f"bracket exhausted for target {target}")
+
+
+def aggregate_per_cell(config, records):
+    """Table rows as numpy reduces them: for each (method, delta) filter all
+    records, then np.median / np.mean / np.min / np.max over the cell."""
+    from minpinv.experiments import TableRow
+
+    agg = np.median if config.aggregation == "median" else np.mean
+    rows = []
+    for method in config.methods:
+        for delta in config.deltas:
+            cell = [r for r in records if r.method == method and r.delta == delta]
+            good = [r for r in cell if r.error is None]
+            if not good:
+                rows.append(TableRow(method, delta, len(cell), len(cell),
+                                     None, None, None, None, None, None))
+                continue
+            params = np.array([r.parameter for r in good], dtype=np.float64)
+            rows.append(TableRow(
+                method=method,
+                delta=delta,
+                runs=len(cell),
+                failures=len(cell) - len(good),
+                accuracy=float(agg([r.accuracy for r in good])),
+                condition_number=float(agg([r.condition_number for r in good])),
+                jump_fraction=float(np.mean([r.jump_root for r in good])),
+                param_min=float(np.min(params)),
+                param_median=float(np.median(params)),
+                param_max=float(np.max(params)),
+            ))
+    return tuple(rows)
 
 
 def rank_matrix(rng, m, n, rank, scale=1.0):

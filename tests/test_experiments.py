@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from minpinv.errors import InputError
 from minpinv.experiments import (
     ExperimentConfig,
+    RunRecord,
+    _aggregate,
     build_poisson,
     detail_json,
     parse_config,
@@ -197,6 +202,35 @@ class TestRunExperiment:
         assert all(len(r.curve.levels) == 33 for r in mpmi_records)
         tsvd_records = [r for r in table.records if r.method == "tsvd"]
         assert all(r.curve is None for r in tsvd_records)
+
+
+@st.composite
+def record_sets(draw):
+    """Records over two methods and two noise levels, with failed runs and
+    few distinct values (so medians meet ties), in a shuffled order."""
+    values = st.sampled_from([0.1, 0.3, 1.0 / 3.0, 2.5, 1e-300, 7e12])
+    records = []
+    for method in ("mpmi", "tr"):
+        for delta in (0.05, 0.1):
+            for seed in range(draw(st.integers(min_value=0, max_value=12))):
+                if draw(st.booleans()) and draw(st.booleans()):
+                    records.append(RunRecord(method, delta, seed, None, None, None,
+                                             None, False, None, "noise dominates signal"))
+                else:
+                    records.append(RunRecord(
+                        method, delta, seed, draw(values), draw(values), draw(values),
+                        3, draw(st.booleans()), draw(values), None))
+    order = draw(st.permutations(range(len(records))))
+    return tuple(records[i] for i in order)
+
+
+@given(record_sets(), st.sampled_from(["median", "mean"]))
+@settings(max_examples=150, deadline=None)
+def test_aggregate_gives_numpys_bits(records, aggregation):
+    config = ExperimentConfig(deltas=(0.05, 0.1), methods=("mpmi", "tr"),
+                              aggregation=aggregation)
+    ours = _aggregate(config, records)
+    assert repr(ours) == repr(oracles.aggregate_per_cell(config, records))
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,19 @@
 """Kernel correctness: quartic roots, filter factors, distance, kernel fill."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from minpinv import _kernels
+from minpinv.experiments import perturb_rhs
+from minpinv.mpm import ascending_breakpoints, spectrum_distance_sq
+from minpinv.mpmi import MpmiFilterFamily, discrepancy_sq
 from oracles import quartic_bisect
 
 QUARTIC_TOP = 27.0 / 16.0
+EPS = float(np.finfo(np.float64).eps)
 
 
 class TestQuarticRoots:
@@ -43,6 +49,73 @@ class TestQuarticRoots:
             real = roots[np.abs(roots.imag) <= 1e-12].real
             (ref,) = real[(real >= 1.0 - 1e-12) & (real <= 1.5 + 1e-12)]
             assert abs(xi - ref) <= 1e-13
+
+
+class TestFixedStepNewton:
+    """Four Newton steps and no convergence test, checked on dense grids."""
+
+    GRID = np.linspace(0.0, QUARTIC_TOP, 200_001)
+
+    def test_roots_within_four_eps_of_converged(self):
+        ref = (1 + oracles.quartic_excess_bisect_array(self.GRID, iters=70)).astype(np.float64)
+        x = _kernels.quartic_roots(self.GRID)
+        assert np.all(np.abs(x - ref) <= 4.0 * EPS * ref)
+
+    def test_excess_keeps_relative_precision(self):
+        # down to t = 1e-20, where x - 1 taken from a rounded x is pure noise
+        t = np.concatenate([np.geomspace(1e-20, 1e-3, 10_001),
+                            np.linspace(1e-3, QUARTIC_TOP, 10_001)])
+        ref = oracles.quartic_excess_bisect_array(t).astype(np.float64)
+        y = _kernels.quartic_excess(t)
+        assert np.all(np.abs(y - ref) <= 8.0 * EPS * ref)
+
+    def test_monotone_in_t(self):
+        assert np.all(np.diff(_kernels.quartic_excess(self.GRID)) >= 0.0)
+        assert np.all(np.diff(_kernels.quartic_roots(self.GRID)) >= 0.0)
+
+    def test_endpoints_and_outside_exact(self):
+        t = np.array([0.0, QUARTIC_TOP, -1.0, 2.0])
+        assert _kernels.quartic_roots(t).tolist() == [1.0, 1.5, 1.0, 1.5]
+        assert _kernels.quartic_excess(t).tolist() == [0.0, 0.5, 0.0, 0.5]
+
+
+class TestQuarticFilterOnTheDeskSpectrum:
+    """The live-prefix evaluator against the loop oracles, at every distinct
+    breakpoint of the desk spectrum and every midpoint between two."""
+
+    @pytest.fixture(scope="class")
+    def case(self, desk_problem, desk_factors):
+        sigma = desk_factors.sigma[: desk_factors.rank]
+        u = perturb_rhs(desk_problem.exact_rhs, 0.05, 0)
+        coeffs = desk_factors.project_rhs(u)
+        breaks = ascending_breakpoints(
+            _kernels.QuarticFilter(sigma).breaks, np.zeros(len(sigma)))[0]
+        levels = np.concatenate([breaks, 0.5 * (breaks[1:] + breaks[:-1])])
+        return sigma, coeffs, breaks, levels
+
+    def test_distance_matches_oracle(self, case):
+        sigma, _, _, levels = case
+        for level in levels.tolist():
+            ref = oracles.mpm_beta(level, sigma)
+            assert spectrum_distance_sq(level, sigma) == pytest.approx(ref, rel=1e-13)
+
+    def test_residual_matches_oracle(self, case):
+        sigma, coeffs, _, levels = case
+        family = MpmiFilterFamily(sigma)
+        for level in levels.tolist():
+            ref = oracles.mpmi_beta_sq(level, sigma, coeffs, len(sigma))
+            assert discrepancy_sq(level, coeffs, family) == pytest.approx(ref, rel=1e-13)
+
+    def test_three_halves_exactly_at_each_breakpoint(self, case):
+        sigma, _, breaks, _ = case
+        quartic = _kernels.QuarticFilter(sigma)
+        for level in breaks.tolist():
+            x = quartic.x_values(level)
+            at = quartic.breaks == level
+            assert np.all(x[at] == 1.5)
+            assert np.all(x[quartic.breaks < level] == 0.0)
+            inside = x[quartic.breaks > level]
+            assert np.all((inside >= 1.0) & (inside < 1.5))
 
 
 class TestFilterX:

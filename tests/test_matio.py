@@ -124,6 +124,13 @@ class TestMatrixMarket:
             load_matrix_mm("\n \n")
         assert str(exc.value) == "matrixmarket input is empty"
 
+    def test_header_sniff_matches_lstrip(self):
+        # the sniff copies no text, yet skips exactly what str.lstrip() does
+        for code in range(128):
+            text = chr(code) * 2 + MM_HEADER
+            assert bool(minpinv.matio._MM_BANNER.match(text)) == \
+                text.lstrip().startswith("%%MatrixMarket"), code
+
     def test_error_messages(self):
         with pytest.raises(InputError) as exc:
             load_matrix_mm(f"{MM_HEADER}\n3 1\n1\nfoo\nbar\n")

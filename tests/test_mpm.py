@@ -294,6 +294,61 @@ class TestGeneralizedRoot:
         assert len(counts) == 24
         assert np.median(counts) <= 2 * DESK_EVALS[method]
 
+    def test_undeclared_step_is_an_error(self):
+        # f steps by 1 at 0.25, which ``breaks`` does not declare: no level
+        # meets the tolerance and the bracket closes on adjacent floats
+        def f(level):
+            return level + (1.0 if level > 0.25 else 0.0)
+
+        with pytest.raises(SolverError, match="bracket exhausted"):
+            solve_generalized_root(f, [1.0], [0.0], 0.75, 1e-12)
+
+    def test_zero_tolerance_ends_on_adjacent_floats(self):
+        # no float cubes to exactly 3; tolerance 0 asks for float resolution
+        level, jumped = solve_generalized_root(lambda lv: lv ** 3, [2.0], [0.0], 3.0, 0.0)
+        assert not jumped
+        assert float(np.nextafter(level, -np.inf)) ** 3 < 3.0 < level ** 3
+
+    def test_no_desk_solve_misses_its_tolerance(self, desk_problem, desk_factors):
+        # 6 noise levels x 20 seeds: every mpmi and mpm solve ends inside
+        # its tolerance or on a jump root, never on adjacent floats
+        sigma = desk_factors.sigma
+        norm = float(np.linalg.norm(desk_problem.exact_rhs))
+        for delta in (0.005, 0.01, 0.05, 0.1, 0.2, 0.3):
+            h = delta * norm
+            level, jumped = solve_level(h, sigma)
+            if not jumped:
+                assert abs(spectrum_distance_sq(level, sigma) - h * h) <= 1e-12 * h * h
+            for seed in range(20):
+                u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
+                report = solve(desk_factors, u, "mpmi", delta_abs=h)
+                if not report.jump_root:
+                    # the solver's tolerance, plus rounding between its
+                    # residual and the report's
+                    target = h * h + report.residual_floor ** 2
+                    assert abs(report.residual ** 2 - target) <= 1.001e-12 * float(u @ u)
+
+    def test_distance_bits_match_the_root_finder(self, desk_factors, monkeypatch):
+        # perfbench checks the mpm budget with spectrum_distance_sq at the
+        # returned level: it must read the very value the finder evaluated
+        seen = {}
+
+        def recording(eval_fn, *args, **kwargs):
+            def recorded(level):
+                seen[level] = eval_fn(level)
+                return seen[level]
+
+            return solve_generalized_root(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(minpinv.mpm, "solve_generalized_root", recording)
+        sigma = desk_factors.sigma
+        energy = float(np.sum(sigma * sigma))
+        for share in (1e-9, 1e-4, 0.01, 0.1, 0.5):
+            level, _ = solve_level(np.sqrt(share * energy), sigma)
+            assert level in seen
+        for level, value in seen.items():
+            assert spectrum_distance_sq(level, sigma) == value
+
     def test_bisects_to_float_resolution(self):
         # f(L) = L below the breakpoint 1: the root 1e-300 lies about a
         # thousand halvings down and the tolerance is 0, so the finder must

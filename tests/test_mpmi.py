@@ -84,6 +84,8 @@ class TestFamilyContract:
             MpmiFilterFamily(np.array([0.0, 0.0]))
         with pytest.raises(InputError):
             MpmiFilterFamily(np.array([1.0]), rank=2)
+        with pytest.raises(InputError):
+            MpmiFilterFamily(np.array([1.0, 2.0]))
 
 
 class TestMpmiX:
