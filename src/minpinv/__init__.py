@@ -9,17 +9,7 @@ baselines, a model-problem experiment harness, and a CLI.
 
 __version__ = "0.1.0"
 
-from .baselines import (
-    discrepancy_alpha,
-    morozov_solve,
-    morozov_spectrum,
-    solve,
-    tikhonov_solve,
-    tikhonov_spectrum,
-    tsvd_rank_by_discrepancy,
-    tsvd_rank_by_matrix_error,
-    tsvd_solve,
-)
+from .baselines import solve, tsvd_rank_by_matrix_error
 from .errors import InputError, SolverError
 from .experiments import (
     ExperimentConfig,
@@ -50,16 +40,12 @@ from .mpm import (
     spectrum_distance_sq,
 )
 from .mpmi import (
-    FilterFamily,
     MpmiFilterFamily,
     SolveReport,
     mpmi_x,
     discrepancy_curve,
     discrepancy_sq,
-    filtered_condition_number,
-    mpmi_solve,
     residual_floor,
-    solve_filter_level,
 )
 
 __all__ = [
@@ -86,24 +72,13 @@ __all__ = [
     "solve_level",
     "MpmSpectrum",
     "minimal_pseudoinverse",
-    "FilterFamily",
     "MpmiFilterFamily",
     "mpmi_x",
     "SolveReport",
     "residual_floor",
     "discrepancy_sq",
     "discrepancy_curve",
-    "solve_filter_level",
-    "filtered_condition_number",
-    "mpmi_solve",
-    "tsvd_rank_by_discrepancy",
     "tsvd_rank_by_matrix_error",
-    "tsvd_solve",
-    "tikhonov_spectrum",
-    "tikhonov_solve",
-    "morozov_spectrum",
-    "morozov_solve",
-    "discrepancy_alpha",
     "build_poisson",
     "perturb_rhs",
     "relative_error",

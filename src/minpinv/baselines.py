@@ -9,27 +9,17 @@ sigma_k) and a Morozov variant (s_k = (alpha + sigma_k^2)^2 / sigma_k^3);
 :func:`solve` dispatches between them and the quartic filters.
 """
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import InputError, SolverError
-from .linalg import SvdFactors, require_vector, spectrum_cond, svd
+from .linalg import SvdFactors, require_vector, svd
 from .mpm import filtered_spectrum, solve_generalized_root, solve_level
 from .mpmi import discrepancy_target, head_residual_sq, mpmi_spectrum, spectral_report
 
 __all__ = [
-    "tsvd_rank_by_discrepancy",
     "tsvd_rank_by_matrix_error",
-    "tsvd_solve",
-    "TikhonovSpectrum",
-    "tikhonov_spectrum",
-    "tikhonov_solve",
-    "MorozovSpectrum",
-    "morozov_spectrum",
-    "morozov_solve",
-    "discrepancy_alpha",
     "METHODS",
     "solve",
 ]
@@ -56,16 +46,6 @@ def _tsvd_spectrum(factors, coeffs, delta_abs=None, rank=None):
     return s, rank, False
 
 
-def tsvd_rank_by_discrepancy(factors, u, delta_abs):
-    """Smallest kept rank whose coefficient tail fits the noise target.
-
-    The target is delta_abs^2 plus the squared residual floor; the tail
-    is a nonincreasing step function of the rank, so this is its
-    discrete generalized root.
-    """
-    return _tsvd_spectrum(factors, factors.project_rhs(u), delta_abs=delta_abs)[1]
-
-
 def tsvd_rank_by_matrix_error(sigma, matrix_error):
     """Minimal rank whose spectral tail energy fits a matrix error bound.
 
@@ -83,11 +63,6 @@ def tsvd_rank_by_matrix_error(sigma, matrix_error):
         )
     fits = np.flatnonzero(tails[1:] <= matrix_error * matrix_error)
     return int(fits[0]) + 1 if fits.size else len(sigma)
-
-
-def tsvd_solve(factors, u, rank):
-    """Solution through the rank-truncated spectrum."""
-    return solve(factors, u, "tsvd", rank=rank)
 
 
 def _tikhonov_values(sigma, alpha):
@@ -114,9 +89,9 @@ def _alpha_by_discrepancy(values, sigma, coeffs, delta_abs):
 
     The residual is continuous and increasing in alpha, so
     :func:`~minpinv.mpm.solve_generalized_root` finds it with zero jumps,
-    bracketing it between the ascending sigma_k^2 and 1e6 sigma_1^2.
-    Raises "bracket exhausted" when the target lies above the upper end
-    or the bracket closes on adjacent floats short of the tolerance.
+    bracketing it between the sigma_k^2 and 1e6 sigma_1^2.  Raises
+    "bracket exhausted" when the target lies above the upper end or the
+    bracket closes on adjacent floats short of the tolerance.
     """
     rank = len(sigma)
     target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
@@ -125,43 +100,10 @@ def _alpha_by_discrepancy(values, sigma, coeffs, delta_abs):
     def residual_sq(alpha):
         return head_residual_sq(sigma, values(sigma, alpha), head_sq) + floor_sq
 
-    breaks = np.append(sigma[::-1] ** 2, 1e6 * float(sigma[0]) ** 2)
+    breaks = np.append(sigma ** 2, 1e6 * float(sigma[0]) ** 2)
     alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
                                       target, 1e-10 * u_norm_sq)
     return alpha
-
-
-@dataclass(frozen=True)
-class TikhonovSpectrum:
-    """Spectral data of a Tikhonov-type operator at a fixed alpha."""
-
-    alpha: float
-    filter_factors: np.ndarray  # 1 / s_k over the numerical rank
-    cond: float                 # extreme ratio of the effective spectrum s
-
-
-# The Morozov variant reports the same fields.
-MorozovSpectrum = TikhonovSpectrum
-
-
-def tikhonov_spectrum(factors, alpha):
-    s = _alpha_spectrum(_tikhonov_values, factors, None, alpha=alpha)[0]
-    return TikhonovSpectrum(float(alpha), 1.0 / s, spectrum_cond(s))
-
-
-def tikhonov_solve(factors, u, alpha):
-    """Classical quadratic regularization in spectral form."""
-    return solve(factors, u, "tr", alpha=alpha)
-
-
-def morozov_spectrum(factors, alpha):
-    s = _alpha_spectrum(_morozov_values, factors, None, alpha=alpha)[0]
-    return MorozovSpectrum(float(alpha), 1.0 / s, spectrum_cond(s))
-
-
-def morozov_solve(factors, u, alpha):
-    """The doubly-damped regularization variant."""
-    return solve(factors, u, "morozov", alpha=alpha)
 
 
 def _mpm_spectrum(factors, coeffs, h):
@@ -184,15 +126,6 @@ METHODS = {
     "tr": (partial(_alpha_spectrum, _tikhonov_values), ("delta_abs", "alpha")),
     "morozov": (partial(_alpha_spectrum, _morozov_values), ("delta_abs", "alpha")),
 }
-
-
-def discrepancy_alpha(factors, u, delta_abs, method="tr"):
-    """Regularization parameter of ``method`` (tr or morozov) matching the
-    residual to the noise level."""
-    chooser, accepted = METHODS.get(method, (None, ()))
-    if "alpha" not in accepted:
-        raise InputError(f"unknown discrepancy method {method!r}")
-    return chooser(factors, factors.project_rhs(u), delta_abs=delta_abs)[1]
 
 
 def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):

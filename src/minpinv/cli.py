@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from . import __version__
 from .baselines import METHODS, solve
 from .errors import InputError, SolverError
 from .experiments import (
+    _parse_seeds,
     curve_csv,
     detail_json,
     parse_config,
@@ -147,11 +149,17 @@ def _cmd_experiment(args):
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
     config = parse_config(text, full_scale=args.full_scale)
     if args.seeds:
-        from .experiments import _parse_seeds
-
-        config = type(config)(**{**config.to_dict(), "seeds": _parse_seeds(args.seeds)})
-        config.validate()
-    workers = int(os.environ.get("MINPINV_THREADS", "1") or "1")
+        try:
+            seeds = _parse_seeds(args.seeds)
+        except ValueError as exc:
+            raise InputError(f"--seeds: {exc}") from exc
+        config = replace(config, seeds=seeds).validate()
+    threads = os.environ.get("MINPINV_THREADS", "")
+    try:
+        workers = int(threads or "1")
+    except ValueError as exc:
+        raise InputError(
+            f"MINPINV_THREADS must be an integer, got {threads!r}") from exc
     table = run_experiment(config, workers=max(workers, 1))
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -11,6 +11,7 @@ bit for bit.
 """
 
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -140,6 +141,11 @@ class ExperimentConfig:
             raise InputError("config: aggregation must be median or mean")
         if self.curve_points < 0:
             raise InputError("config: curve_points must be nonnegative")
+        for key in ("deltas", "seeds", "methods"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                repeated = sorted(v for v, n in Counter(values).items() if n > 1)
+                raise InputError(f"config: repeated {key} {repeated}")
         return self
 
     def to_dict(self):

@@ -75,11 +75,15 @@ def ascending_breakpoints(breaks, jumps):
     breakpoint add their jumps, in ascending index order among equals
     (``np.bincount`` adds its weights in input order).  Returns two arrays.
     """
-    order = np.argsort(breaks, kind="stable")
-    breaks = np.asarray(breaks, dtype=np.float64)[order]
-    first = np.ones(len(breaks), dtype=bool)
-    first[1:] = breaks[1:] != breaks[:-1]
-    segment = np.cumsum(first) - 1
+    # array methods and ``out=`` skip numpy's function dispatch: this runs
+    # once per solve, on arrays of a few hundred entries
+    breaks = np.asarray(breaks, dtype=np.float64)
+    order = breaks.argsort(kind="stable")
+    breaks = breaks[order]
+    first = np.empty(len(breaks), dtype=bool)
+    first[:1] = True
+    np.not_equal(breaks[1:], breaks[:-1], out=first[1:])
+    segment = first.cumsum() - 1
     jumps = np.asarray(jumps, dtype=np.float64)[order]
     return breaks[first], np.bincount(segment, weights=jumps)
 
@@ -87,13 +91,15 @@ def ascending_breakpoints(breaks, jumps):
 def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     """Generalized root of a nondecreasing left-continuous function.
 
-    ``eval_fn`` is the (left-continuous) function of the level,
-    ``breaks`` its ascending distinct discontinuity points and
-    ``jumps[i]`` the jump height at ``breaks[i]``.  Returns
-    ``(level, jumped)`` where either the interior root satisfies
-    |f(level) - target| <= tol_abs, or ``level`` is a breakpoint whose
-    left/right values sandwich the target.  ``level`` is a Python float.
-    The caller must ensure f(0) < target < sup f.
+    ``eval_fn`` is the (left-continuous) function of the level.
+    ``breaks[k]`` and ``jumps[k]`` are the discontinuity point of index k
+    and the height it jumps by there, in any order and with ties; they are
+    merged here by :func:`ascending_breakpoints`, which adds the jumps of
+    indices that share a point.  Returns ``(level, jumped)`` where either
+    the interior root satisfies |f(level) - target| <= tol_abs, or
+    ``level`` is a breakpoint whose left/right values sandwich the target.
+    ``level`` is a Python float.  The caller must ensure
+    f(0) < target < sup f.
 
     When the bracket shrinks to two adjacent floats, no level meets the
     tolerance: f steps by more than ``tol_abs`` within one ulp, which a
@@ -103,15 +109,17 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     positive tolerance f has a step that ``breaks`` does not declare, and
     the finder raises "bracket exhausted".
 
-    The right limits f(b_i) + jumps[i] never decrease, so the bracket
-    (the first breakpoint whose right limit reaches the target) is found
-    by binary search.  Inside it the function is continuous and the root
+    Over the merged points b_1 < b_2 < ... with summed jumps J_i, the
+    right limits f(b_i) + J_i never decrease, so the bracket (the first
+    breakpoint whose right limit reaches the target) is found by binary
+    search.  Inside it the function is continuous and the root
     is found by Illinois regula falsi (Dowell & Jarratt, BIT 1971), which
     bisects whenever the secant point is not strictly inside the bracket
     or three steps in a row failed to halve it.  The third is the step
     that halves the stale end's value, so that rule gets its chance
     first.  No derivative is needed.
     """
+    breaks, jumps = ascending_breakpoints(breaks, jumps)
     left = {}
     i, end = 0, len(breaks)
     while i < end:
@@ -189,11 +197,9 @@ def solve_level(matrix_error, sigma):
             f"error^2 {target} >= total {total_energy}",
         )
     # (3/2 rho - rho)^2 = rho^2/4 flips to rho^2 past the breakpoint
-    breaks, jumps = ascending_breakpoints(
-        quartic.breaks[: quartic.positive], 0.75 * (positive * positive)
-    )
     return solve_generalized_root(
-        quartic.distance_sq(), breaks, jumps, target, tol_abs=1e-12 * target
+        quartic.distance_sq(), quartic.breaks[: quartic.positive],
+        0.75 * (positive * positive), target, tol_abs=1e-12 * target,
     )
 
 

@@ -1,7 +1,8 @@
 """Solving Az = u with exact matrix and noisy right-hand side (MPMI method).
 
-The singular spectrum of the exact matrix is inflated by a family of
-filter factors x_k(h) >= 1 that truncate past per-index breakpoints.
+The singular spectrum of the exact matrix is inflated by the quartic-law
+filter factors x_k(h) >= 1 of :class:`MpmiFilterFamily`, which truncate
+past per-index breakpoints.
 The filter level h is chosen so that the solution residual matches the
 noise level (discrepancy principle): the squared residual is monotone
 and left-continuous in h, so the equation has a generalized root that
@@ -12,94 +13,45 @@ At a jump root the last survivor is inflated by exactly x_r = 3/2, so
 the condition number is (2/3) sigma_1 x_1 / sigma_r and the improvement
 over sigma_1 / sigma_r is 1.5 / x_1, which lies in [1, 3/2): at most,
 not at least, one and a half fold.
-
-``FilterFamily`` carries the family contract; the quartic-law
-``MpmiFilterFamily`` is the shipped instance.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import InputError, SolverError
-from .linalg import SvdFactors, spectrum_cond, svd
+from .linalg import spectrum_cond
 from .mpm import ascending_breakpoints, filtered_spectrum, solve_generalized_root
 
 __all__ = [
-    "FilterFamily",
     "MpmiFilterFamily",
     "mpmi_x",
     "residual_floor",
     "discrepancy_sq",
     "DiscrepancyCurve",
     "discrepancy_curve",
-    "solve_filter_level",
-    "filtered_condition_number",
     "SolveReport",
     "head_residual_sq",
     "spectral_report",
     "discrepancy_target",
     "mpmi_spectrum",
-    "mpmi_solve",
 ]
 
-
-class FilterFamily:
-    """Contract for spectral filter factor families x_k(h), k = 1..rank.
-
-    Requirements on each member (h in (0, cap]):
-      * 1 < x_k(h) <= upper_bounds[k] while h <= breaks[k];
-      * x_k(0) = x_k(+0) = 1 and x_k vanishes past its breakpoint;
-      * left continuity in h;
-      * 1/x_k(h) (0 once truncated) nonincreasing in h.
-
-    ``slopes`` give the small-h expansion x_k(h) ~ 1 + slopes[k] * h.
-    A member only defines ``x_values``; ``residual_sq`` builds the
-    squared residual from it, and a member may override it with a
-    faster evaluation of the same function.
-    """
-
-    sigma: np.ndarray
-    breaks: np.ndarray
-    cap: float
-    upper_bounds: np.ndarray
-    slopes: np.ndarray
-
-    @property
-    def rank(self):
-        return len(self.sigma)
-
-    def x_values(self, level):
-        """Array of x_k(level) for k = 1..rank; 0 marks truncation."""
-        raise NotImplementedError
-
-    def theta_values(self, level):
-        """1/x_k(level) for survivors, 0 for truncated indices."""
-        x = self.x_values(level)
-        return np.where(x > 0.0, 1.0 / np.where(x > 0.0, x, 1.0), 0.0)
-
-    def residual_sq(self, coeffs):
-        """Squared solution residual as a function of the filter level,
-        for right-hand side coordinates ``coeffs`` (see
-        :func:`discrepancy_sq`), set up once for many levels."""
-        rank = self.rank
-        head_sq = coeffs[:rank] ** 2
-        tail = coeffs[rank:]
-        floor_sq = float(np.sum(tail * tail))
-
-        def value(level):
-            s = self.sigma * self.x_values(level)
-            return head_residual_sq(self.sigma, s, head_sq) + floor_sq
-
-        return value
+# theta = 1/x drops from 2/3 to 0 at a breakpoint, so the squared residual
+# of index k jumps there by (1 - (1 - 2/3)^2) c_k^2.
+JUMP = 1.0 - (1.0 - 1.0 / 1.5) ** 2
 
 
-class MpmiFilterFamily(FilterFamily):
+class MpmiFilterFamily:
     """Quartic inflation law: x solves x**4 - x**3 = h / sigma_k**4.
 
-    The quartic is evaluated by one :class:`~minpinv._kernels.QuarticFilter`
-    set up with the family, on the live prefix of the spectrum only.
+    For h up to the breakpoint (27/16) sigma_k**4, 1 < x_k(h) <= 3/2,
+    with x_k(0) = x_k(+0) = 1 and x_k = 3/2 at the breakpoint itself;
+    past it x_k vanishes.  x_k is left-continuous in h and 1/x_k (0 once
+    truncated) is nonincreasing.  The quartic is evaluated by one
+    :class:`~minpinv._kernels.QuarticFilter` set up with the family, on
+    the live prefix of the spectrum only.
     """
 
     def __init__(self, sigma, rank=None):
@@ -115,16 +67,21 @@ class MpmiFilterFamily(FilterFamily):
         self.sigma = sigma[:rank].copy()
         self.quartic = _kernels.QuarticFilter(self.sigma)
         self.breaks = self.quartic.breaks
-        self.cap = 1.5 * float(self.breaks[0])
-        self.upper_bounds = np.full(rank, 1.5)
-        self.slopes = self.sigma ** -4.0
+
+    @property
+    def rank(self):
+        return len(self.sigma)
 
     def x_values(self, level):
+        """Array of x_k(level) for k = 1..rank; 0 marks truncation."""
         if not level >= 0.0:
             raise InputError("filter level must be nonnegative")
         return self.quartic.x_values(float(level))
 
     def residual_sq(self, coeffs):
+        """Squared solution residual as a function of the filter level,
+        for right-hand side coordinates ``coeffs`` (see
+        :func:`discrepancy_sq`), set up once for many levels."""
         return self.quartic.residual_sq(coeffs)
 
 
@@ -174,25 +131,14 @@ class DiscrepancyCurve:
     plateau_sq: float           # value past the largest breakpoint
 
 
-def _ascending_breaks(family, coeffs_sq):
-    """Distinct ascending breakpoints with squared-coefficient jumps.
-
-    theta drops from 1/upper_bound to 0 at each breakpoint, so index k
-    jumps by (1 - (1 - 1/c_k)^2) * v_k^2.
-    """
-    edge = 1.0 - 1.0 / family.upper_bounds
-    return ascending_breakpoints(family.breaks, (1.0 - edge * edge) * coeffs_sq)
-
-
-def discrepancy_curve(factors, u, family=None, num=257):
+def discrepancy_curve(factors, u, num=257):
     """Sample the squared-residual curve for plotting/reporting."""
-    if family is None:
-        family = MpmiFilterFamily(factors.sigma, factors.rank)
+    family = MpmiFilterFamily(factors.sigma, factors.rank)
     rank = family.rank
     coeffs = factors.project_rhs(u, rank)
     floor_sq = float(np.sum(coeffs[rank:] ** 2))
     plateau_sq = floor_sq + float(np.sum(coeffs[:rank] ** 2))
-    breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
+    breaks, jumps = ascending_breakpoints(family.breaks, JUMP * coeffs[:rank] ** 2)
     top = breaks[-1]
     levels = np.concatenate([[0.0], np.geomspace(breaks[0] * 1e-3, top * 1.05, num - 1)])
     residual_sq = family.residual_sq(coeffs)
@@ -231,41 +177,6 @@ def discrepancy_target(coeffs, rank, delta_abs):
     return target, floor_sq, u_norm_sq
 
 
-def _filter_level(coeffs, delta_abs, family):
-    """``(level, jumped)`` of the discrepancy equation for projected ``coeffs``."""
-    rank = family.rank
-    target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
-    breaks, jumps = _ascending_breaks(family, coeffs[:rank] ** 2)
-    return solve_generalized_root(
-        family.residual_sq(coeffs), breaks, jumps, target,
-        tol_abs=1e-12 * u_norm_sq,
-    )
-
-
-def solve_filter_level(factors, u, delta_abs, family=None, with_curve=True):
-    """Generalized root of: squared residual = delta_abs^2 + floor^2.
-
-    Returns ``(level, curve, jumped)``; ``curve`` is None when
-    ``with_curve`` is False.  Raises "noise dominates signal" when the
-    target reaches the plateau ||u||^2.
-    """
-    if family is None:
-        family = MpmiFilterFamily(factors.sigma, factors.rank)
-    coeffs = factors.project_rhs(u, family.rank)
-    level, jumped = _filter_level(coeffs, delta_abs, family)
-    curve = discrepancy_curve(factors, u, family) if with_curve else None
-    return level, curve, jumped
-
-
-def filtered_condition_number(factors, family, level):
-    """Extreme-value ratio of the surviving filtered spectrum.
-
-    The quartic inflation preserves nonincreasing order, so this equals
-    the first-to-last ratio of the surviving block.
-    """
-    return spectrum_cond(family.sigma * family.x_values(level))
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one regularized solve."""
@@ -278,7 +189,6 @@ class SolveReport:
     residual: float             # ||A z - u|| of the returned solution
     residual_floor: float       # part of u unreachable from the range
     jump_root: bool = False
-    curve: DiscrepancyCurve | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self, solution_inline=True):
         out = {
@@ -338,23 +248,14 @@ def mpmi_spectrum(factors, coeffs, delta_abs):
     """Effective spectrum sigma_k x_k(h) over the numerical rank, at the
     filter level h that the discrepancy principle picks for ``coeffs``.
 
-    Returns ``(s, level, jumped)``.
+    Returns ``(s, level, jumped)``.  Raises "noise dominates signal" when
+    the target reaches the plateau ||u||^2.
     """
     family = MpmiFilterFamily(factors.sigma, factors.rank)
-    level, jumped = _filter_level(coeffs, delta_abs, family)
+    rank = family.rank
+    target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
+    level, jumped = solve_generalized_root(
+        family.residual_sq(coeffs), family.breaks, JUMP * coeffs[:rank] ** 2,
+        target, tol_abs=1e-12 * u_norm_sq,
+    )
     return filtered_spectrum(family.sigma, level), level, jumped
-
-
-def mpmi_solve(a, u, delta_abs, with_curve=False):
-    """Full pipeline: filter level by discrepancy, then filtered solve.
-
-    ``a`` is the exact matrix or its precomputed :class:`SvdFactors`.
-    ``delta_abs`` is the absolute noise bound on ``u``.
-    """
-    factors = a if isinstance(a, SvdFactors) else svd(a)
-    coeffs = factors.project_rhs(u)
-    s, level, jumped = mpmi_spectrum(factors, coeffs, delta_abs)
-    report = spectral_report(factors, coeffs, "mpmi", s, level, jumped)
-    if with_curve:
-        report = replace(report, curve=discrepancy_curve(factors, u))
-    return report

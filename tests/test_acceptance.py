@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from minpinv import _kernels
-from minpinv.baselines import tsvd_rank_by_matrix_error
+from minpinv.baselines import solve, tsvd_rank_by_matrix_error
 from minpinv.errors import SolverError
 from minpinv.experiments import (
     ExperimentConfig,
@@ -29,13 +29,7 @@ from minpinv.linalg import (
     svd,
 )
 from minpinv.mpm import QUARTIC_MAX, minimal_pseudoinverse
-from minpinv.mpmi import (
-    MpmiFilterFamily,
-    discrepancy_sq,
-    mpmi_solve,
-    residual_floor,
-    solve_filter_level,
-)
+from minpinv.mpmi import MpmiFilterFamily, discrepancy_sq, residual_floor
 
 
 def report(number, ok, detail):
@@ -141,9 +135,7 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
             u_d = perturb_rhs(desk_problem.exact_rhs, delta, seed=seed)
             delta_abs = delta * norm_rhs
             target = delta_abs ** 2 + residual_floor(desk_factors, u_d) ** 2
-            level, _, _ = solve_filter_level(
-                desk_factors, u_d, delta_abs, with_curve=False
-            )
+            level = solve(desk_factors, u_d, "mpmi", delta_abs=delta_abs).parameter
             c = desk_factors.project_rhs(u_d)
             left = discrepancy_sq(level, c, family)
             right = discrepancy_sq(
@@ -174,7 +166,7 @@ def test_criterion_5_convergence_with_noise():
     errors = []
     for delta_rel in (1e-2, 1e-4, 1e-6):
         u = u_exact + delta_rel * norm_u * direction
-        solution = mpmi_solve(factors, u, delta_rel * norm_u).solution
+        solution = solve(factors, u, "mpmi", delta_abs=delta_rel * norm_u).solution
         errors.append(float(np.linalg.norm(solution - truth)
                             / np.linalg.norm(truth)))
     decreasing = errors[0] > errors[1] > errors[2]
@@ -217,12 +209,12 @@ def test_criterion_6_condition_improvement(desk_problem, desk_factors):
         for seed in range(10):
             u = perturb_rhs(desk_problem.exact_rhs, delta, seed=seed)
             check(desk_factors,
-                  mpmi_solve(desk_factors, u, delta * norm_rhs))
+                  solve(desk_factors, u, "mpmi", delta_abs=delta * norm_rhs))
     assert raw_cond > 1e10  # the desk system really is ill-conditioned
 
     # forced jump roots on small systems
     f1 = svd(np.diag([1.0]))
-    check(f1, mpmi_solve(f1, np.array([2.0]), 1.0))
+    check(f1, solve(f1, np.array([2.0]), "mpmi", delta_abs=1.0))
     f2 = svd(np.diag([4.0, 2.0, 1.0]))
     rng = np.random.default_rng(6)
     for _ in range(40):
@@ -232,7 +224,7 @@ def test_criterion_6_condition_improvement(desk_problem, desk_factors):
         if delta_sq <= 0.0:
             continue
         try:
-            check(f2, mpmi_solve(f2, u, float(np.sqrt(delta_sq))))
+            check(f2, solve(f2, u, "mpmi", delta_abs=float(np.sqrt(delta_sq))))
         except SolverError:
             pass
     assert jump_checked > 0

@@ -11,15 +11,8 @@ from minpinv.baselines import (
     METHODS,
     _alpha_by_discrepancy,
     _coeff_tails,
-    discrepancy_alpha,
-    morozov_solve,
-    morozov_spectrum,
     solve,
-    tikhonov_solve,
-    tikhonov_spectrum,
-    tsvd_rank_by_discrepancy,
     tsvd_rank_by_matrix_error,
-    tsvd_solve,
 )
 from minpinv.errors import InputError, SolverError
 from minpinv.experiments import perturb_rhs
@@ -51,29 +44,29 @@ class TestTsvdRankByDiscrepancy:
     def test_single_dominant_coefficient(self):
         f = svd(np.diag([2.0, 1.0, 0.5]))
         # U = I: coefficients are (3, 0, 0)
-        assert tsvd_rank_by_discrepancy(f, np.array([3.0, 0.0, 0.0]), 1.0) == 1
+        assert solve(f, np.array([3.0, 0.0, 0.0]), "tsvd", delta_abs=1.0).parameter == 1
 
     def test_forced_arithmetic(self):
         # coefficients (2, 1, 1) with rank 2: tails 6, 2, 1; target 1.5
         f = svd(np.diag([2.0, 1.0, 0.0]))
         assert f.rank == 2
         u = np.array([2.0, 1.0, 1.0])
-        rank = tsvd_rank_by_discrepancy(f, u, np.sqrt(0.5))
+        rank = solve(f, u, "tsvd", delta_abs=np.sqrt(0.5)).parameter
         assert rank == 2
 
     def test_noise_dominates(self):
         f = svd(np.diag([1.0]))
         with pytest.raises(SolverError, match="noise dominates"):
-            tsvd_rank_by_discrepancy(f, np.array([2.0]), 2.0)
+            solve(f, np.array([2.0]), "tsvd", delta_abs=2.0)
 
     def test_small_noise_keeps_everything(self, rng):
         # in the small-noise limit truncation stops improving the cond
         a = oracles.rank_matrix(rng, 6, 5, 4)
         f = svd(a)
         u = a @ rng.standard_normal(5)
-        rank = tsvd_rank_by_discrepancy(f, u, 1e-12 * float(np.linalg.norm(u)))
+        rank = solve(f, u, "tsvd", delta_abs=1e-12 * float(np.linalg.norm(u))).parameter
         assert rank == f.rank
-        report = tsvd_solve(f, u, rank)
+        report = solve(f, u, "tsvd", rank=rank)
         assert report.condition_number == pytest.approx(spectral_cond(f), rel=1e-12)
 
 
@@ -93,7 +86,7 @@ class TestRankScansMatchLoops:
         except SolverError:
             assume(False)
         expected = oracles.tsvd_rank_scan(_coeff_tails(coeffs), f.rank, target)
-        assert tsvd_rank_by_discrepancy(f, u, delta_abs) == expected
+        assert solve(f, u, "tsvd", delta_abs=delta_abs).parameter == expected
 
     @settings(max_examples=200, deadline=None)
     @given(sigma=spectra,
@@ -130,12 +123,12 @@ class TestTsvdSolve:
         a = oracles.rank_matrix(rng, 7, 5, 5)
         f = svd(a)
         u = rng.standard_normal(7)
-        report = tsvd_solve(f, u, f.rank)
+        report = solve(f, u, "tsvd", rank=f.rank)
         np.testing.assert_allclose(report.solution, oracles.pinv(a) @ u, atol=1e-10)
 
     def test_forced_truncation(self):
         f = svd(np.diag([2.0, 1.0]))
-        report = tsvd_solve(f, np.array([2.0, 1.0]), 1)
+        report = solve(f, np.array([2.0, 1.0]), "tsvd", rank=1)
         np.testing.assert_allclose(report.solution, [1.0, 0.0], atol=1e-14)
         assert report.condition_number == pytest.approx(1.0)
         assert report.effective_rank == 1
@@ -144,7 +137,7 @@ class TestTsvdSolve:
         a = oracles.rank_matrix(rng, 8, 6, 5)
         f = svd(a)
         u = rng.standard_normal(8)
-        report = tsvd_solve(f, u, 3)
+        report = solve(f, u, "tsvd", rank=3)
         dense = np.linalg.norm(a @ report.solution - u)
         assert report.residual == pytest.approx(dense, rel=1e-9)
         assert report.residual >= report.residual_floor - 1e-12
@@ -152,9 +145,9 @@ class TestTsvdSolve:
     def test_rank_bounds(self, rng):
         f = svd(oracles.rank_matrix(rng, 5, 4, 3))
         with pytest.raises(InputError):
-            tsvd_solve(f, np.ones(5), 0)
+            solve(f, np.ones(5), "tsvd", rank=0)
         with pytest.raises(InputError):
-            tsvd_solve(f, np.ones(5), f.rank + 1)
+            solve(f, np.ones(5), "tsvd", rank=f.rank + 1)
 
 
 class TestTikhonov:
@@ -162,14 +155,14 @@ class TestTikhonov:
         a = rng.standard_normal((5, 5)) + 8.0 * np.eye(5)
         f = svd(a)
         u = rng.standard_normal(5)
-        report = tikhonov_solve(f, u, 1e-13)
+        report = solve(f, u, "tr", alpha=1e-13)
         np.testing.assert_allclose(
             report.solution, np.linalg.solve(a, u), rtol=1e-8
         )
 
     def test_scalar_example(self):
         f = svd(np.diag([1.0]))
-        report = tikhonov_solve(f, np.array([1.0]), 1.0)
+        report = solve(f, np.array([1.0]), "tr", alpha=1.0)
         np.testing.assert_allclose(report.solution, [0.5], atol=1e-15)
 
     def test_matches_normal_equations(self, rng):
@@ -177,7 +170,7 @@ class TestTikhonov:
         f = svd(a)
         u = rng.standard_normal(8)
         alpha = 0.37
-        report = tikhonov_solve(f, u, alpha)
+        report = solve(f, u, "tr", alpha=alpha)
         direct = np.linalg.solve(alpha * np.eye(5) + a.T @ a, a.T @ u)
         np.testing.assert_allclose(report.solution, direct, rtol=1e-9)
 
@@ -185,9 +178,10 @@ class TestTikhonov:
         sigma = np.sort(rng.uniform(0.1, 4.0, 6))[::-1].copy()
         f = svd(np.diag(sigma))
         alpha = 0.05
-        spectrum = tikhonov_spectrum(f, alpha)
+        report = solve(f, np.ones(6), "tr", alpha=alpha)
         scale = (alpha + sigma ** 2) / sigma
-        assert spectrum.cond == pytest.approx(np.max(scale) / np.min(scale), rel=1e-12)
+        assert report.condition_number == pytest.approx(
+            np.max(scale) / np.min(scale), rel=1e-12)
 
     def test_cond_improves_below_alpha_product(self):
         # for alpha in (0, sigma_1 sigma_r): the first-to-last scale ratio
@@ -198,14 +192,14 @@ class TestTikhonov:
         for alpha in (1e-6, 0.1, 0.9 * sigma[0] * sigma[-1]):
             scale = (alpha + sigma ** 2) / sigma
             assert scale[0] / scale[-1] < raw
-            assert tikhonov_spectrum(f, alpha).cond < raw
+            assert solve(f, np.ones(3), "tr", alpha=alpha).condition_number < raw
 
     def test_residual_monotone_in_alpha(self, rng):
         a = oracles.rank_matrix(rng, 7, 5, 4)
         f = svd(a)
         u = rng.standard_normal(7)
         alphas = np.geomspace(1e-8, 1e4, 50)
-        residuals = [tikhonov_solve(f, u, al).residual for al in alphas]
+        residuals = [solve(f, u, "tr", alpha=al).residual for al in alphas]
         assert all(b >= a for a, b in zip(residuals, residuals[1:]))
 
 
@@ -214,14 +208,14 @@ class TestMorozovVariant:
         a = rng.standard_normal((5, 5)) + 8.0 * np.eye(5)
         f = svd(a)
         u = rng.standard_normal(5)
-        report = morozov_solve(f, u, 1e-13)
+        report = solve(f, u, "morozov", alpha=1e-13)
         np.testing.assert_allclose(
             report.solution, np.linalg.solve(a, u), rtol=1e-7
         )
 
     def test_scalar_example(self):
         f = svd(np.diag([1.0]))
-        report = morozov_solve(f, np.array([1.0]), 1.0)
+        report = solve(f, np.array([1.0]), "morozov", alpha=1.0)
         np.testing.assert_allclose(report.solution, [0.25], atol=1e-15)
 
     def test_matches_dense_formula(self, rng):
@@ -229,7 +223,7 @@ class TestMorozovVariant:
         f = svd(a)
         u = rng.standard_normal(6)
         alpha = 0.12
-        report = morozov_solve(f, u, alpha)
+        report = solve(f, u, "morozov", alpha=alpha)
         m, n = a.shape
         dense = (
             np.linalg.solve(alpha * np.eye(n) + a.T @ a, a.T)
@@ -242,18 +236,18 @@ class TestMorozovVariant:
         sigma = np.sort(rng.uniform(0.5, 4.0, 5))[::-1].copy()
         f = svd(np.diag(sigma))
         alpha = 1e-6 * sigma[-1] ** 2
-        spectrum = morozov_spectrum(f, alpha)
+        report = solve(f, np.ones(5), "morozov", alpha=alpha)
         raw = spectral_cond(f)
         predicted = raw * (1.0 - alpha * (sigma[-1] ** -2 - sigma[0] ** -2)) ** 2
-        assert spectrum.cond == pytest.approx(predicted, rel=1e-9)
-        assert spectrum.cond < raw
+        assert report.condition_number == pytest.approx(predicted, rel=1e-9)
+        assert report.condition_number < raw
 
 
 class TestDiscrepancyAlpha:
     def test_closed_form_scalar(self):
         # (alpha/(alpha+1))^2 * 4 = 1 -> alpha = 1
         f = svd(np.diag([1.0]))
-        alpha = discrepancy_alpha(f, np.array([2.0]), 1.0, method="tr")
+        alpha = solve(f, np.array([2.0]), "tr", delta_abs=1.0).parameter
         assert alpha == pytest.approx(1.0, rel=1e-8)
 
     def test_residual_hits_target(self, rng):
@@ -263,9 +257,9 @@ class TestDiscrepancyAlpha:
         floor_sq = residual_floor(f, u) ** 2
         u_sq = float(u @ u)
         delta = np.sqrt(0.3 * (u_sq - floor_sq))
-        for method, solver in (("tr", tikhonov_solve), ("morozov", morozov_solve)):
-            alpha = discrepancy_alpha(f, u, float(delta), method=method)
-            report = solver(f, u, alpha)
+        for method in ("tr", "morozov"):
+            alpha = solve(f, u, method, delta_abs=float(delta)).parameter
+            report = solve(f, u, method, alpha=alpha)
             assert report.residual ** 2 == pytest.approx(
                 delta ** 2 + floor_sq, abs=1e-9 * u_sq
             )
@@ -277,7 +271,7 @@ class TestDiscrepancyAlpha:
         u = a @ rng.standard_normal(6)
         norm_u = float(np.linalg.norm(u))
         alphas = [
-            discrepancy_alpha(f, u, delta_rel * norm_u, method="tr")
+            solve(f, u, "tr", delta_abs=delta_rel * norm_u).parameter
             for delta_rel in (0.3, 0.1, 0.01, 0.001)
         ]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
@@ -285,7 +279,7 @@ class TestDiscrepancyAlpha:
     def test_noise_dominates(self):
         f = svd(np.diag([1.0]))
         with pytest.raises(SolverError, match="noise dominates"):
-            discrepancy_alpha(f, np.array([2.0]), 3.0, method="tr")
+            solve(f, np.array([2.0]), "tr", delta_abs=3.0)
 
     @pytest.mark.parametrize("method", ["tr", "morozov"])
     def test_desk_alpha_meets_tolerance(self, method, desk_problem, desk_factors):
@@ -347,12 +341,7 @@ class TestDiscrepancyAlpha:
         # short of a target within 1e-10 ||u||^2 of the plateau 4
         f = svd(np.diag([1.0]))
         with pytest.raises(SolverError, match="bracket exhausted"):
-            discrepancy_alpha(f, np.array([2.0]), np.sqrt(4.0 - 1e-9), method="tr")
-
-    def test_unknown_method(self):
-        f = svd(np.diag([1.0]))
-        with pytest.raises(InputError):
-            discrepancy_alpha(f, np.array([2.0]), 0.5, method="lcurve")
+            solve(f, np.array([2.0]), "tr", delta_abs=np.sqrt(4.0 - 1e-9))
 
 
 class TestSolveDispatch:
@@ -374,13 +363,11 @@ class TestSolveDispatch:
         f = svd(a)
         u = rng.standard_normal(9)
         delta = 0.5 * float(np.sqrt(u @ u - residual_floor(f, u) ** 2))
-        for method, solver in (("tr", tikhonov_solve), ("morozov", morozov_solve)):
+        for method, name in (("tr", "alpha"), ("morozov", "alpha"), ("tsvd", "rank")):
             one = solve(f, u, method, delta_abs=delta)
-            two = solver(f, u, discrepancy_alpha(f, u, delta, method=method))
+            two = solve(f, u, method, **{name: one.parameter})
             assert one.parameter == two.parameter
             np.testing.assert_array_equal(one.solution, two.solution)
-        one = solve(f, u, "tsvd", delta_abs=delta)
-        assert one.parameter == tsvd_rank_by_discrepancy(f, u, delta)
 
 
 METHOD_PARAMETERS = [(method, name) for method, (_, accepted) in METHODS.items()

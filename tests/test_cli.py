@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from minpinv.baselines import METHODS
+from minpinv.baselines import METHODS, solve
 from minpinv.cli import main
 from minpinv.experiments import ExperimentConfig, build_poisson, perturb_rhs, run_experiment
 from minpinv.linalg import svd
@@ -144,7 +144,6 @@ class TestSolve:
     def test_desk_scale_report_matches_library(self, tmp_path, desk_problem,
                                                desk_factors, capsys):
         from minpinv.experiments import perturb_rhs
-        from minpinv.mpmi import mpmi_solve
 
         u = perturb_rhs(desk_problem.exact_rhs, 0.05, seed=1)
         matrix_path = tmp_path / "desk.csv"
@@ -158,7 +157,8 @@ class TestSolve:
         assert code == 0
         report = json.loads(out)
         # the CLI scales delta by the noisy rhs norm (exact one unknown)
-        expected = mpmi_solve(desk_factors, u, 0.05 * float(np.linalg.norm(u)))
+        expected = solve(desk_factors, u, "mpmi",
+                         delta_abs=0.05 * float(np.linalg.norm(u)))
         assert report["parameter"] == pytest.approx(expected.parameter, rel=1e-12)
         assert report["effective_rank"] == expected.effective_rank
         assert report["condition_number"] == pytest.approx(
@@ -372,6 +372,33 @@ class TestExperiment:
         lines = (out_dir / "table.csv").read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("mpmi,")
+
+    @pytest.mark.parametrize("text, flags", [
+        ("deltas = 0.1, 0.1\nmethods = tsvd, tsvd\nseeds = 0:2\n", ()),
+        ("deltas = 0.1\nmethods = tsvd\n", ("--seeds", "1,1")),
+        ("deltas = 0.1\nmethods = tsvd\n", ("--seeds", "x")),
+    ])
+    def test_repeated_or_bad_values_exit_2(self, tmp_path, capsys, text, flags):
+        config_path = tmp_path / "exp.config"
+        config_path.write_text("m = 40\nn = 41\n" + text)
+        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path),
+                               "--out-dir", str(tmp_path / "o"), *flags)
+        assert code == 2
+        assert "error:" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_thread_count_must_be_an_integer(self, tmp_path, capsys, monkeypatch):
+        config_path = tmp_path / "exp.config"
+        config_path.write_text("m = 40\nn = 41\ndeltas = 0.05\nseeds = 0\nmethods = tsvd\n")
+        monkeypatch.setenv("MINPINV_THREADS", "two")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path),
+                               "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "MINPINV_THREADS" in err
+        monkeypatch.setenv("MINPINV_THREADS", "")
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(config_path),
+                             "--out-dir", str(tmp_path / "o"))
+        assert code == 0
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         config_path = tmp_path / "exp.config"

@@ -147,6 +147,16 @@ class TestParseConfig:
         with pytest.raises(InputError):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, text", [
+        ("deltas", "deltas = 0.1, 0.10"),
+        ("seeds", "seeds = 0:2, 1"),
+        ("methods", "methods = tsvd, mpmi, tsvd"),
+    ])
+    def test_rejects_repeated_values(self, key, text):
+        # a repeat would run its cells again and pool them into one row
+        with pytest.raises(InputError, match=f"repeated {key}"):
+            parse_config(text)
+
 
 SMALL = ExperimentConfig(
     m=40, n=41, deltas=(0.05, 0.1), seeds=(0, 1, 2),

@@ -1,110 +1,61 @@
-"""The filter-family abstraction with a non-quartic member.
+"""The root finder on a non-quartic residual, and repeated singular values.
 
-A linear-inflation family exercises the root finder and the curve
-sampler through nothing but the family contract, and repeated singular
-values exercise breakpoint merging.
+A linear-inflation residual exercises the root finder through nothing
+but its contract, and repeated singular values exercise breakpoint
+merging.
 """
 
 import numpy as np
 import pytest
 
+from minpinv.baselines import solve
 from minpinv.errors import SolverError
 from minpinv.linalg import svd
-from minpinv.mpm import QUARTIC_MAX, minimal_pseudoinverse, solve_level
-from minpinv.mpmi import (
-    FilterFamily,
-    MpmiFilterFamily,
-    discrepancy_curve,
-    discrepancy_sq,
-    filtered_condition_number,
-    mpmi_solve,
-    solve_filter_level,
+from minpinv.mpm import (
+    QUARTIC_MAX,
+    minimal_pseudoinverse,
+    solve_generalized_root,
+    solve_level,
 )
+from minpinv.mpmi import MpmiFilterFamily, discrepancy_target
 
 
-class LinearFamily(FilterFamily):
-    """x_k(h) = 1 + slope_k * h up to a per-index breakpoint, then 0."""
-
-    def __init__(self, sigma, slopes, breaks, cap=None):
-        self.sigma = np.asarray(sigma, dtype=np.float64)
-        self.slopes = np.asarray(slopes, dtype=np.float64)
-        self.breaks = np.asarray(breaks, dtype=np.float64)
-        self.upper_bounds = 1.0 + self.slopes * self.breaks
-        self.cap = cap if cap is not None else 1.5 * float(np.max(self.breaks))
-
-    def x_values(self, level):
-        if level == 0.0:
-            return np.ones(len(self.sigma))
-        return np.where(level <= self.breaks, 1.0 + self.slopes * level, 0.0)
-
-
-class TestLinearFamilyContract:
-    def test_assumptions_hold(self):
-        family = LinearFamily([2.0, 1.0], [0.5, 1.0], [2.0, 1.0])
-        assert np.all(family.x_values(0.0) == 1.0)
-        grid = np.linspace(1e-9, family.cap, 200)
-        prev = np.ones(2)
-        for level in grid:
-            x = family.x_values(level)
-            live = x > 0.0
-            assert np.all(x[live] > 1.0)
-            assert np.all(x[live] <= family.upper_bounds[live] + 1e-12)
-            theta = family.theta_values(level)
-            assert np.all(theta <= prev + 1e-12)
-            prev = theta
-        assert np.all(family.x_values(family.cap) == 0.0)
+def linear_residual_sq(level):
+    """Squared residual of A = diag(1), u = (2) under the linear inflation
+    x(h) = 1 + h up to the breakpoint 1, then truncation: the continuous
+    part (1 - 1/(1+h))^2 * 4 tops out at 1, the plateau is 4."""
+    if level > 1.0:
+        return 4.0
+    return (1.0 - 1.0 / (1.0 + level)) ** 2 * 4.0
 
 
 class TestGenericSolvePath:
-    @pytest.fixture
-    def setup(self):
-        factors = svd(np.diag([1.0]))
-        family = LinearFamily([1.0], [1.0], [1.0])
-        u = np.array([2.0])
-        return factors, family, u
+    # one breakpoint at 1, where the residual jumps from 1 to 4; the
+    # tolerance is the mpmi solver's, 1e-12 ||u||^2
+    BREAKS, JUMPS, TOL = [1.0], [3.0], 4e-12
 
-    def test_interior_root_closed_form(self, setup):
-        factors, family, u = setup
+    def test_interior_root_closed_form(self):
         # (1 - 1/(1+h))^2 * 4 = 1/2  =>  h = c / (1 - c), c = sqrt(1/8)
         c = np.sqrt(0.125)
         expected = c / (1.0 - c)
-        level, curve, jumped = solve_filter_level(
-            factors, u, np.sqrt(0.5), family=family
-        )
+        level, jumped = solve_generalized_root(
+            linear_residual_sq, self.BREAKS, self.JUMPS, 0.5, self.TOL)
         assert not jumped
         assert level == pytest.approx(expected, rel=1e-9)
-        assert curve is not None
 
-    def test_jump_root(self, setup):
-        factors, family, u = setup
+    def test_jump_root(self):
         # continuous part tops out at (1 - 1/2)^2 * 4 = 1, plateau is 4
-        level, _, jumped = solve_filter_level(
-            factors, u, np.sqrt(2.0), family=family
-        )
+        level, jumped = solve_generalized_root(
+            linear_residual_sq, self.BREAKS, self.JUMPS, 2.0, self.TOL)
         assert jumped
         assert level == 1.0
-        assert discrepancy_sq(1.0, factors.project_rhs(u), family) \
-            == pytest.approx(1.0, rel=1e-12)
+        assert linear_residual_sq(1.0) == pytest.approx(1.0, rel=1e-12)
 
-    def test_generic_curve_structure(self, setup):
-        factors, family, u = setup
-        curve = discrepancy_curve(factors, u, family=family, num=65)
-        assert len(curve.levels) == 65
-        assert np.all(np.diff(curve.values) >= -1e-12 * curve.plateau_sq)
-        assert curve.break_left[0] == pytest.approx(1.0, rel=1e-12)
-        assert curve.break_right[0] == pytest.approx(4.0, rel=1e-12)
-
-    def test_condition_number_with_linear_family(self):
-        factors = svd(np.diag([4.0, 2.0]))
-        family = LinearFamily([4.0, 2.0], [0.1, 0.4], [4.0, 2.0])
-        # at level 2 the second index sits at its breakpoint (x = 1.8)
-        nu = filtered_condition_number(factors, family, 2.0)
-        assert nu == pytest.approx((4.0 * 1.2) / (2.0 * 1.8), rel=1e-12)
-
-    def test_noise_dominates_generic(self, setup):
-        factors, family, u = setup
+    def test_noise_dominates_generic(self):
+        # target 2^2 + floor 0 reaches ||u||^2 = 4
+        coeffs = svd(np.diag([1.0])).project_rhs(np.array([2.0]))
         with pytest.raises(SolverError, match="noise dominates"):
-            solve_filter_level(factors, u, 2.0, family=family)
+            discrepancy_target(coeffs, 1, 2.0)
 
 
 class TestRepeatedSingularValues:
@@ -131,7 +82,7 @@ class TestRepeatedSingularValues:
         u = np.array([2.0, 1.0])
         # jump at the shared breakpoint: left (1/9)*5, right 5; ||u||^2 = 5
         target_sq = 3.0
-        report = mpmi_solve(factors, u, float(np.sqrt(target_sq)))
+        report = solve(factors, u, "mpmi", delta_abs=float(np.sqrt(target_sq)))
         assert report.jump_root
         assert report.effective_rank == 2
         assert report.condition_number == pytest.approx(1.0, rel=1e-14)
@@ -145,7 +96,7 @@ class TestDegenerateShapes:
         a = np.array([[3.0, 0.0, 4.0]])
         factors = svd(a)
         assert factors.sigma[0] == pytest.approx(5.0)
-        report = mpmi_solve(factors, np.array([10.0]), 1e-6)
+        report = solve(factors, np.array([10.0]), "mpmi", delta_abs=1e-6)
         # minimum-norm solution of a single equation
         np.testing.assert_allclose(
             report.solution, [1.2, 0.0, 1.6], atol=1e-4
@@ -156,7 +107,7 @@ class TestDegenerateShapes:
         factors = svd(a)
         u = np.array([3.0, 1.0, 4.0])
         delta = 0.5
-        report = mpmi_solve(factors, u, delta)
+        report = solve(factors, u, "mpmi", delta_abs=delta)
         assert report.solution.shape == (1,)
         # sigma = 5, head of U^T u = 5, floor = 1: the discrepancy equation
         # 25 (1 - z)^2 + 1 = delta^2 + 1 gives z = 1 - delta/5

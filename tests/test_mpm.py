@@ -228,6 +228,21 @@ def staircases(draw):
     return f, breaks, jumps, target, tol_abs
 
 
+@st.composite
+def per_index_staircases(draw):
+    """A staircase from :func:`staircases` and the same breakpoints given
+    per index: each jump split over one to three tied entries, shuffled.
+    The parts are integers, so every merged sum is exact in any order."""
+    case = draw(staircases())
+    _, breaks, jumps, _, _ = case
+    entries = []
+    for brk, jump in zip(breaks, jumps):
+        cuts = sorted(draw(st.lists(st.integers(0, int(jump)), max_size=2)))
+        entries += [(brk, float(part)) for part in np.diff([0, *cuts, int(jump)])]
+    entries = draw(st.permutations(entries))
+    return case, [e[0] for e in entries], [e[1] for e in entries]
+
+
 class TestAscendingBreakpoints:
     @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -52, 3.0, 27.0]),
                               st.floats(min_value=0.0, max_value=1e6)),
@@ -266,6 +281,20 @@ class TestGeneralizedRoot:
         else:
             below = float(np.nextafter(level, -np.inf))
             assert abs(f(level) - target) <= tol_abs or f(below) < target <= f(level)
+
+    @given(per_index_staircases())
+    @settings(max_examples=200, deadline=None)
+    def test_per_index_breaks_in_any_order(self, case):
+        (f, breaks, jumps, target, tol_abs), index_breaks, index_jumps = case
+
+        def outcome(b, j):
+            try:
+                level, jumped = solve_generalized_root(f, b, j, target, tol_abs)
+            except SolverError as exc:
+                return exc.name
+            return level.hex(), jumped
+
+        assert outcome(index_breaks, index_jumps) == outcome(breaks, jumps)
 
     @pytest.mark.parametrize("method, bound", [("mpmi", "delta_abs"), ("mpm", "h")])
     def test_evaluations_per_desk_solve(self, method, bound, desk_problem,

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 import oracles
+from minpinv.baselines import solve
 from minpinv.errors import InputError, SolverError
-from minpinv.linalg import frobenius_norm, svd
+from minpinv.linalg import frobenius_norm, spectrum_cond, svd
 from minpinv.mpm import QUARTIC_MAX
 from minpinv.mpmi import (
     MpmiFilterFamily,
     discrepancy_curve,
     discrepancy_sq,
-    filtered_condition_number,
-    mpmi_solve,
     mpmi_x,
     residual_floor,
-    solve_filter_level,
 )
 
 # frozen from the bisection oracle: x**4 - x**3 = 1/16
@@ -43,23 +41,25 @@ class TestFamilyContract:
         np.testing.assert_allclose(x, 1.0, atol=1e-7)
 
     def test_bounds_hold_up_to_breakpoint(self, family):
-        for level in np.geomspace(family.breaks[-1] * 1e-6, family.cap, 50):
+        for level in np.geomspace(family.breaks[-1] * 1e-6, 1.5 * family.breaks[0], 50):
             x = family.x_values(level)
             live = x > 0.0
             assert np.all(x[live] > 1.0)
-            assert np.all(x[live] <= family.upper_bounds[live])
+            assert np.all(x[live] <= 1.5)
 
     def test_vanishes_at_cap(self, family):
-        assert np.all(family.x_values(family.cap) == 0.0)
-        assert family.cap > family.breaks[0]
+        cap = 1.5 * family.breaks[0]
+        assert np.all(family.x_values(cap) == 0.0)
+        assert cap > family.breaks[0]
 
     def test_theta_bounded_and_nonincreasing(self, family):
         # derived property: 0 <= 1/x <= 1, nonincreasing in the level
         grid = np.concatenate([[0.0], np.geomspace(
-            family.breaks[-1] * 1e-9, family.cap, 400)])
+            family.breaks[-1] * 1e-9, 1.5 * family.breaks[0], 400)])
         prev = np.ones(family.rank)
         for level in grid:
-            theta = family.theta_values(level)
+            x = family.x_values(level)
+            theta = np.divide(1.0, x, out=np.zeros(len(x)), where=x > 0.0)
             assert np.all(theta >= 0.0) and np.all(theta <= 1.0)
             assert np.all(theta <= prev + 1e-12)
             prev = theta
@@ -76,7 +76,7 @@ class TestFamilyContract:
         x = family.x_values(level)
         # atol covers indices where slope * level sinks below one ulp of 1
         np.testing.assert_allclose(
-            x - 1.0, family.slopes * level, rtol=1e-6, atol=1e-15
+            x - 1.0, family.sigma ** -4.0 * level, rtol=1e-6, atol=1e-15
         )
 
     def test_rejects_bad_construction(self):
@@ -163,7 +163,7 @@ class TestDiscrepancy:
         u = rng.standard_normal(8)
         family = MpmiFilterFamily(f.sigma, f.rank)
         coeffs = f.project_rhs(u)
-        for level in np.geomspace(family.breaks[-1] * 1e-4, family.cap, 40):
+        for level in np.geomspace(family.breaks[-1] * 1e-4, 1.5 * family.breaks[0], 40):
             ours = discrepancy_sq(float(level), coeffs, family)
             ref = oracles.mpmi_beta_sq(float(level), f.sigma, coeffs, f.rank)
             assert ours == pytest.approx(ref, rel=1e-9)
@@ -174,7 +174,8 @@ class TestSolveFilterLevel:
         f = svd(np.diag([1.0]))
         u = np.array([2.0])
         # target 0.2 = delta^2 (floor is 0): delta = sqrt(0.2)
-        level, curve, jumped = solve_filter_level(f, u, np.sqrt(0.2))
+        report = solve(f, u, "mpmi", delta_abs=np.sqrt(0.2))
+        level, jumped = report.parameter, report.jump_root
         assert not jumped
         assert level == pytest.approx(INTERIOR_LEVEL, rel=1e-9)
         family = MpmiFilterFamily(f.sigma, f.rank)
@@ -185,7 +186,8 @@ class TestSolveFilterLevel:
     def test_forced_jump(self):
         # target 1.0 sits between 4/9 (left) and 4 (right) at the breakpoint
         f = svd(np.diag([1.0]))
-        level, _, jumped = solve_filter_level(f, np.array([2.0]), 1.0)
+        report = solve(f, np.array([2.0]), "mpmi", delta_abs=1.0)
+        level, jumped = report.parameter, report.jump_root
         assert jumped
         assert level == QUARTIC_MAX
 
@@ -197,10 +199,8 @@ class TestSolveFilterLevel:
         levels = []
         for delta in (0.1, 0.01, 0.001, 0.0001):
             u = desk_problem.exact_rhs + delta * rhs_norm * direction
-            level, _, _ = solve_filter_level(
-                desk_factors, u, delta * rhs_norm, with_curve=False
-            )
-            levels.append(level)
+            report = solve(desk_factors, u, "mpmi", delta_abs=delta * rhs_norm)
+            levels.append(report.parameter)
         assert all(b < a for a, b in zip(levels, levels[1:]))
 
     def test_sandwich_property(self, rng):
@@ -212,9 +212,7 @@ class TestSolveFilterLevel:
             floor_sq = residual_floor(f, u) ** 2
             u_sq = float(u @ u)
             delta_sq = rng.uniform(0.02, 0.9) * (u_sq - floor_sq)
-            level, _, jumped = solve_filter_level(
-                f, u, float(np.sqrt(delta_sq)), with_curve=False
-            )
+            level = solve(f, u, "mpmi", delta_abs=float(np.sqrt(delta_sq))).parameter
             family = MpmiFilterFamily(f.sigma, f.rank)
             coeffs = f.project_rhs(u)
             target = delta_sq + floor_sq
@@ -231,7 +229,7 @@ class TestSolveFilterLevel:
         u = rng.standard_normal(7)
         floor_sq = residual_floor(f, u) ** 2
         delta = np.sqrt(0.3 * (float(u @ u) - floor_sq))
-        level, _, jumped = solve_filter_level(f, u, float(delta), with_curve=False)
+        level = solve(f, u, "mpmi", delta_abs=float(delta)).parameter
         coeffs = f.project_rhs(u)
         family = MpmiFilterFamily(f.sigma, f.rank)
         oracle_level, _ = oracles.grid_root(
@@ -244,7 +242,7 @@ class TestSolveFilterLevel:
     def test_noise_dominates_error(self):
         f = svd(np.diag([1.0]))
         with pytest.raises(SolverError, match="noise dominates"):
-            solve_filter_level(f, np.array([2.0]), 2.0)  # target 4 = ||u||^2
+            solve(f, np.array([2.0]), "mpmi", delta_abs=2.0)  # target 4 = ||u||^2
 
     def test_curve_structure(self, rng):
         a = oracles.rank_matrix(rng, 8, 6, 4)
@@ -265,7 +263,7 @@ class TestConditionNumbers:
         family = MpmiFilterFamily(f.sigma, f.rank)
         from minpinv.linalg import spectral_cond
 
-        assert filtered_condition_number(f, family, 0.0) == pytest.approx(
+        assert spectrum_cond(family.sigma * family.x_values(0.0)) == pytest.approx(
             spectral_cond(f), rel=1e-12
         )
 
@@ -277,7 +275,7 @@ class TestConditionNumbers:
         level = float(family.breaks[1])
         x = family.x_values(level)
         assert x[1] == 1.5 and x[2] == 0.0
-        nu = filtered_condition_number(f, family, level)
+        nu = spectrum_cond(family.sigma * family.x_values(level))
         assert nu == pytest.approx(sigma[0] * x[0] / (sigma[1] * 1.5), rel=1e-12)
 
     def test_strict_improvement_on_survivor_block(self, rng):
@@ -291,7 +289,7 @@ class TestConditionNumbers:
             x = family.x_values(level)
             live = x > 0.0
             survivors = sigma[live]
-            nu = filtered_condition_number(f, family, level)
+            nu = spectrum_cond(family.sigma * family.x_values(level))
             block_ratio = survivors[0] / survivors[-1]
             assert nu <= block_ratio * (1.0 + 1e-12)
             if survivors[0] > survivors[-1]:
@@ -302,7 +300,7 @@ class TestConditionNumbers:
         # the first/last-survivor formula
         sigma = np.sort(rng.uniform(0.2, 5.0, 9))[::-1].copy()
         family = MpmiFilterFamily(sigma)
-        for level in np.geomspace(family.breaks[-1] * 1e-3, family.cap, 60):
+        for level in np.geomspace(family.breaks[-1] * 1e-3, 1.5 * family.breaks[0], 60):
             filtered = sigma * family.x_values(level)
             live = filtered[filtered > 0.0]
             if len(live) > 1:
@@ -312,14 +310,14 @@ class TestConditionNumbers:
         f = svd(np.diag([1.0]))
         family = MpmiFilterFamily(f.sigma, f.rank)
         with pytest.raises(SolverError, match="undefined condition number"):
-            filtered_condition_number(f, family, 2.0 * QUARTIC_MAX)
+            spectrum_cond(family.sigma * family.x_values(2.0 * QUARTIC_MAX))
 
 
 class TestMpmiSolve:
     def test_tiny_noise_recovers_inverse(self, rng):
         a = rng.standard_normal((6, 6)) + 10.0 * np.eye(6)
         u = rng.standard_normal(6)
-        report = mpmi_solve(a, u, 1e-8 * float(np.linalg.norm(u)))
+        report = solve(a, u, "mpmi", delta_abs=1e-8 * float(np.linalg.norm(u)))
         direct = np.linalg.solve(a, u)
         assert np.linalg.norm(report.solution - direct) <= 1e-6 * np.linalg.norm(direct)
 
@@ -331,7 +329,7 @@ class TestMpmiSolve:
             u = rng.standard_normal(8)
             floor_sq = residual_floor(f, u) ** 2
             delta = np.sqrt(rng.uniform(0.05, 0.9) * (float(u @ u) - floor_sq))
-            report = mpmi_solve(f, u, float(delta))
+            report = solve(f, u, "mpmi", delta_abs=float(delta))
             family = MpmiFilterFamily(f.sigma, f.rank)
             filtered = f.sigma[: f.rank] * family.x_values(report.parameter)
             ours = np.sqrt(np.sum(1.0 / filtered[filtered > 0.0] ** 2))
@@ -343,7 +341,7 @@ class TestMpmiSolve:
         f = svd(a)
         u = rng.standard_normal(9)
         delta = 0.2 * float(np.linalg.norm(u))
-        report = mpmi_solve(f, u, delta)
+        report = solve(f, u, "mpmi", delta_abs=delta)
         assert report.method == "mpmi"
         assert report.effective_rank <= f.rank
         assert report.residual >= report.residual_floor - 1e-10 * np.linalg.norm(u)
@@ -353,7 +351,7 @@ class TestMpmiSolve:
     def test_jump_root_identity(self):
         # at a jump root x_r = 3/2 exactly: nu = (2/3) sigma_1 x_1 / sigma_r
         f = svd(np.diag([1.0]))
-        report = mpmi_solve(f, np.array([2.0]), 1.0)
+        report = solve(f, np.array([2.0]), "mpmi", delta_abs=1.0)
         assert report.jump_root
         family = MpmiFilterFamily(f.sigma, f.rank)
         x = family.x_values(report.parameter)
@@ -372,7 +370,7 @@ class TestMpmiSolve:
         errors = []
         for delta_rel in (1e-2, 1e-4, 1e-6):
             u = u_exact + delta_rel * norm_u * direction
-            report = mpmi_solve(f, u, delta_rel * norm_u)
+            report = solve(f, u, "mpmi", delta_abs=delta_rel * norm_u)
             errors.append(
                 np.linalg.norm(report.solution - truth) / np.linalg.norm(truth)
             )
@@ -387,7 +385,7 @@ class TestMpmiSolve:
 
         norm_rhs = float(np.linalg.norm(desk_problem.exact_rhs))
         u = perturb_rhs(desk_problem.exact_rhs, 0.05, seed=0)
-        report = mpmi_solve(desk_factors, u, 0.05 * norm_rhs)
+        report = solve(desk_factors, u, "mpmi", delta_abs=0.05 * norm_rhs)
         error = np.linalg.norm(report.solution - desk_problem.truth)
         error /= np.linalg.norm(desk_problem.truth)
         assert error <= 0.05
@@ -401,6 +399,6 @@ class TestMpmiSolve:
         a = oracles.rank_matrix(rng, 7, 6, 4)
         u = rng.standard_normal(7)
         delta = 0.1 * float(np.linalg.norm(u))
-        via_matrix = mpmi_solve(a, u, delta)
-        via_factors = mpmi_solve(svd(a), u, delta)
+        via_matrix = solve(a, u, "mpmi", delta_abs=delta)
+        via_factors = solve(svd(a), u, "mpmi", delta_abs=delta)
         np.testing.assert_array_equal(via_matrix.solution, via_factors.solution)
