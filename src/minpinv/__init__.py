@@ -20,65 +20,42 @@ from .experiments import (
     run_experiment,
 )
 from .linalg import (
-    PinvCheckReport,
     SvdFactors,
-    assemble_filtered_matrix,
     assemble_filtered_pinv,
     frobenius_norm,
-    full_spectrum_cond,
     moore_penrose_check,
-    reciprocal_or_zero,
-    spectral_cond,
+    spectrum_cond,
     svd,
 )
 from .matio import read_matrix, read_vector, write_matrix, write_vector
-from .mpm import (
-    MpmSpectrum,
-    minimal_pseudoinverse,
-    quartic_root,
-    solve_level,
-    spectrum_distance_sq,
-)
-from .mpmi import (
-    MpmiFilterFamily,
-    SolveReport,
-    mpmi_x,
-    discrepancy_curve,
-    discrepancy_sq,
-    residual_floor,
-)
+from .mpm import minimal_pseudoinverse, spectrum_distance_sq
+from .mpmi import SolveReport, discrepancy_curve
 
 __all__ = [
     "__version__",
+    # solve
+    "solve",
+    "SolveReport",
+    "discrepancy_curve",
     "InputError",
     "SolverError",
-    "solve",
-    "SvdFactors",
-    "PinvCheckReport",
+    # factors
     "svd",
+    "SvdFactors",
+    "spectrum_cond",
     "frobenius_norm",
-    "spectral_cond",
-    "full_spectrum_cond",
-    "reciprocal_or_zero",
     "assemble_filtered_pinv",
-    "assemble_filtered_matrix",
     "moore_penrose_check",
+    # I/O
     "read_matrix",
     "write_matrix",
     "read_vector",
     "write_vector",
-    "quartic_root",
-    "spectrum_distance_sq",
-    "solve_level",
-    "MpmSpectrum",
+    # mpm and the matrix error bound
     "minimal_pseudoinverse",
-    "MpmiFilterFamily",
-    "mpmi_x",
-    "SolveReport",
-    "residual_floor",
-    "discrepancy_sq",
-    "discrepancy_curve",
+    "spectrum_distance_sq",
     "tsvd_rank_by_matrix_error",
+    # harness
     "build_poisson",
     "perturb_rhs",
     "relative_error",

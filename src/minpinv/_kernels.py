@@ -14,9 +14,8 @@ convergence test.  Endpoints are returned exactly.
 set up once per solve.  The breakpoints (27/16) sigma_k**4 fall with k,
 so the indices the filter keeps at a level are a prefix, found by binary
 search; the quartic runs on that live prefix only, and the truncated
-indices enter through precomputed suffix sums.  ``filter_x`` and
-``spectrum_distance_sq`` are its one-shot forms, and ``poisson_kernel``
-fills the model problem's matrix.
+indices enter through precomputed suffix sums.  ``filter_x`` is its only
+one-shot form, and ``poisson_kernel`` fills the model problem's matrix.
 """
 
 from bisect import bisect_left, bisect_right
@@ -53,11 +52,6 @@ def quartic_excess(t):
     # the iterates fall towards the root and stay in [0, 1/2], except for
     # t > 27/16, where they climb past the cap
     return np.minimum(y, 0.5, out=y)
-
-
-def quartic_roots(t):
-    """Roots x in [1, 3/2] of x**4 - x**3 = t, elementwise over ``t``."""
-    return 1.0 + quartic_excess(t)
 
 
 def _residual_shift(y):
@@ -143,15 +137,6 @@ def filter_x(sigma, level):
     Zero singular values get 0.
     """
     return QuarticFilter(sigma).x_values(level)
-
-
-def spectrum_distance_sq(sigma, level):
-    """Squared Frobenius distance between the filtered and raw spectrum.
-
-    ``sigma`` is nonincreasing.  Surviving entries contribute
-    (sigma_k*(x_k - 1))**2, truncated ones sigma_k**2.
-    """
-    return QuarticFilter(sigma).distance_sq()(level)
 
 
 def poisson_kernel(x, y, h0):

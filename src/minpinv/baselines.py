@@ -38,6 +38,8 @@ def _tsvd_spectrum(factors, coeffs, delta_abs=None, rank=None):
         target, _, _ = discrepancy_target(coeffs, factors.rank, delta_abs)
         fits = np.flatnonzero(_coeff_tails(coeffs)[: factors.rank + 1] <= target)
         rank = max(int(fits[0]), 1) if fits.size else factors.rank
+    elif isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
+        raise InputError(f"truncation rank must be an integer, got {rank!r}")
     if not 1 <= rank <= factors.rank:
         raise InputError(f"truncation rank {rank} outside 1..{factors.rank}")
     rank = int(rank)

@@ -34,13 +34,7 @@ from .experiments import (
     run_experiment,
     table_csv,
 )
-from .linalg import (
-    frobenius_norm,
-    full_spectrum_cond,
-    spectral_cond,
-    spectrum_cond,
-    svd,
-)
+from .linalg import frobenius_norm, spectrum_cond, svd
 from .matio import (
     dump_matrix_csv,
     format_float,
@@ -133,8 +127,8 @@ def _cmd_svd_report(args):
         "frobenius_norm": frobenius_norm(matrix),
         "numerical_rank": factors.rank,
         "rank_tolerance": factors.rank_tolerance,
-        "condition_number": spectral_cond(factors),
-        "condition_number_full": full_spectrum_cond(factors)
+        "condition_number": spectrum_cond(factors.sigma[: factors.rank]),
+        "condition_number_full": spectrum_cond(factors.sigma)
         if factors.sigma[-1] > 0.0 else None,
     }
     _emit_report(report, payload, args.out)

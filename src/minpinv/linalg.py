@@ -50,13 +50,6 @@ def frobenius_norm(a):
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
 
 
-def reciprocal_or_zero(rho):
-    """1/rho for rho > 0, zero at rho = 0; the pseudoinverse of a scalar."""
-    if rho < 0.0:
-        raise InputError("reciprocal_or_zero expects a nonnegative value")
-    return 1.0 / rho if rho > 0.0 else 0.0
-
-
 def default_rank_tolerance(sigma, shape):
     """sigma_1 * max(m, n) * machine epsilon, the standard rank cutoff."""
     if len(sigma) == 0:
@@ -74,7 +67,8 @@ class SvdFactors:
     ``v`` from ``gesdd`` (see the module docstring).  Solves read only
     the leading columns (:meth:`project_rhs`); U and V stay full so that
     reports and checks can still reach the complement of the range.
-    ``rank_tolerance`` fixes the numerical rank: #{k : sigma_k > tol}.
+    ``rank_tolerance`` fixes the numerical rank: #{k : sigma_k > tol};
+    ``svd(a, rank_tolerance=tol)`` sets it.
     """
 
     u: np.ndarray
@@ -109,11 +103,6 @@ class SvdFactors:
         head = basis.T @ u
         full = basis.shape[1] == u.shape[0]
         return np.append(head, 0.0 if full else np.linalg.norm(u - basis @ head))
-
-    def with_rank_tolerance(self, tol):
-        if tol < 0.0:
-            raise InputError("rank tolerance must be nonnegative")
-        return SvdFactors(self.u, self.sigma, self.v, float(tol))
 
 
 def _freeze(a):
@@ -217,18 +206,3 @@ def spectrum_cond(values):
             "undefined condition number", "all spectrum entries are zero"
         )
     return float(np.max(live) / np.min(live))
-
-
-def spectral_cond(factors):
-    """sigma_1 / sigma_r with r the numerical rank under the stored tolerance."""
-    return spectrum_cond(factors.sigma[: factors.rank])
-
-
-def full_spectrum_cond(factors):
-    """sigma_1 / sigma_M, the raw extreme-value ratio (no rank cutoff)."""
-    smallest = float(factors.sigma[-1])
-    if smallest <= 0.0:
-        raise SolverError(
-            "undefined condition number", "smallest singular value is zero"
-        )
-    return float(factors.sigma[0]) / smallest

@@ -26,7 +26,7 @@ from .linalg import (
 
 __all__ = [
     "QUARTIC_MAX",
-    "quartic_root",
+    "check_spectrum",
     "spectrum_distance_sq",
     "solve_level",
     "MpmSpectrum",
@@ -34,24 +34,12 @@ __all__ = [
     "minimal_pseudoinverse",
     "solve_generalized_root",
     "ascending_breakpoints",
-    "level_breakpoints",
 ]
 
 
-def quartic_root(t):
-    """The unique x in [1, 3/2] with x**4 - x**3 = t, for t in [0, 27/16]."""
-    if not 0.0 <= t <= QUARTIC_MAX:
-        raise InputError(f"quartic right side {t} outside [0, 27/16]")
-    return float(_kernels.quartic_roots([t])[0])
-
-
-def level_breakpoints(sigma):
-    """Truncation levels (27/16) * sigma_k**4: the very floats the quartic
-    filter compares levels with (see :class:`~minpinv._kernels.QuarticFilter`)."""
-    return _kernels.QuarticFilter(sigma).breaks
-
-
-def _check_spectrum(sigma):
+def check_spectrum(sigma):
+    """``sigma`` as a float64 array, rejecting a spectrum with a negative
+    entry or a rise: the quartic filter needs a nonincreasing one."""
     sigma = require_vector(sigma, "spectrum")
     if np.any(sigma < 0.0):
         raise InputError("spectrum entries must be nonnegative")
@@ -62,10 +50,10 @@ def _check_spectrum(sigma):
 
 def spectrum_distance_sq(level, sigma):
     """Squared Frobenius distance between filtered and original spectrum."""
-    sigma = _check_spectrum(sigma)
+    sigma = check_spectrum(sigma)
     if not level >= 0.0:
         raise InputError("filter level must be nonnegative")
-    return float(_kernels.spectrum_distance_sq(sigma, float(level)))
+    return _kernels.QuarticFilter(sigma).distance_sq()(float(level))
 
 
 def ascending_breakpoints(breaks, jumps):
@@ -187,7 +175,7 @@ def solve_level(matrix_error, sigma):
     """
     if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
-    quartic = _kernels.QuarticFilter(_check_spectrum(sigma))
+    quartic = _kernels.QuarticFilter(check_spectrum(sigma))
     positive = quartic.sigma[: quartic.positive]
     total_energy = float(np.sum(positive * positive))
     target = matrix_error * matrix_error
@@ -208,7 +196,6 @@ class MpmSpectrum:
     """Filtered-spectrum report of one minimal-pseudoinverse run."""
 
     sigma: np.ndarray          # original singular values
-    level_breaks: np.ndarray   # (27/16) sigma_k^4, nonincreasing
     level: float               # chosen filter level
     filtered_sigma: np.ndarray
     jumped: bool               # level landed on a breakpoint
@@ -246,7 +233,6 @@ def minimal_pseudoinverse(a, matrix_error, factors=None):
     filtered = filtered_spectrum(spectrum_raw, level)
     spectrum = MpmSpectrum(
         sigma=spectrum_raw,
-        level_breaks=level_breakpoints(spectrum_raw),
         level=level,
         filtered_sigma=filtered,
         jumped=jumped,

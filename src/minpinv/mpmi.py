@@ -1,8 +1,11 @@
 """Solving Az = u with exact matrix and noisy right-hand side (MPMI method).
 
 The singular spectrum of the exact matrix is inflated by the quartic-law
-filter factors x_k(h) >= 1 of :class:`MpmiFilterFamily`, which truncate
-past per-index breakpoints.
+filter factors x_k(h) >= 1 of :class:`~minpinv._kernels.QuarticFilter`,
+which solve x**4 - x**3 = h / sigma_k**4 over the numerical rank: 1 at
+h = 0, rising to exactly 3/2 at the per-index breakpoint (27/16)
+sigma_k**4, and 0 (truncation) past it.  x_k is left-continuous in h and
+1/x_k (0 once truncated) is nonincreasing.
 The filter level h is chosen so that the solution residual matches the
 noise level (discrepancy principle): the squared residual is monotone
 and left-continuous in h, so the equation has a generalized root that
@@ -22,13 +25,14 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, SolverError
 from .linalg import spectrum_cond
-from .mpm import ascending_breakpoints, filtered_spectrum, solve_generalized_root
+from .mpm import (
+    ascending_breakpoints,
+    check_spectrum,
+    filtered_spectrum,
+    solve_generalized_root,
+)
 
 __all__ = [
-    "MpmiFilterFamily",
-    "mpmi_x",
-    "residual_floor",
-    "discrepancy_sq",
     "DiscrepancyCurve",
     "discrepancy_curve",
     "SolveReport",
@@ -43,79 +47,15 @@ __all__ = [
 JUMP = 1.0 - (1.0 - 1.0 / 1.5) ** 2
 
 
-class MpmiFilterFamily:
-    """Quartic inflation law: x solves x**4 - x**3 = h / sigma_k**4.
-
-    For h up to the breakpoint (27/16) sigma_k**4, 1 < x_k(h) <= 3/2,
-    with x_k(0) = x_k(+0) = 1 and x_k = 3/2 at the breakpoint itself;
-    past it x_k vanishes.  x_k is left-continuous in h and 1/x_k (0 once
-    truncated) is nonincreasing.  The quartic is evaluated by one
-    :class:`~minpinv._kernels.QuarticFilter` set up with the family, on
-    the live prefix of the spectrum only.
-    """
-
-    def __init__(self, sigma, rank=None):
-        sigma = np.asarray(sigma, dtype=np.float64)
-        if rank is None:
-            rank = int(np.sum(sigma > 0.0))
-        if rank < 1 or rank > len(sigma):
-            raise InputError(f"filter family rank {rank} out of range")
-        if sigma[rank - 1] <= 0.0:
-            raise InputError("filter family needs positive singular values")
-        if np.any(np.diff(sigma[:rank]) > 0.0):
-            raise InputError("filter family needs a nonincreasing spectrum")
-        self.sigma = sigma[:rank].copy()
-        self.quartic = _kernels.QuarticFilter(self.sigma)
-        self.breaks = self.quartic.breaks
-
-    @property
-    def rank(self):
-        return len(self.sigma)
-
-    def x_values(self, level):
-        """Array of x_k(level) for k = 1..rank; 0 marks truncation."""
-        if not level >= 0.0:
-            raise InputError("filter level must be nonnegative")
-        return self.quartic.x_values(float(level))
-
-    def residual_sq(self, coeffs):
-        """Squared solution residual as a function of the filter level,
-        for right-hand side coordinates ``coeffs`` (see
-        :func:`discrepancy_sq`), set up once for many levels."""
-        return self.quartic.residual_sq(coeffs)
-
-
-def mpmi_x(rho, level):
-    """Scalar quartic filter factor for one singular value."""
-    if not rho > 0.0:
-        raise InputError("singular value must be positive")
-    if not level >= 0.0:
-        raise InputError("filter level must be nonnegative")
-    return float(_kernels.filter_x([rho], float(level))[0])
-
-
-def residual_floor(factors, u):
-    """Norm of the right-hand side component outside the matrix range.
-
-    This is the floor coordinate of
-    :meth:`~minpinv.linalg.SvdFactors.project_rhs`; it equals the
-    residual of the plain normal pseudosolution.
-    """
-    return float(factors.project_rhs(u)[-1])
-
-
-def discrepancy_sq(level, coeffs, family):
-    """Squared solution residual at a filter level, in spectral form.
-
-    ``coeffs`` come from :meth:`~minpinv.linalg.SvdFactors.project_rhs`
-    over at least the ``family.rank`` leading columns, whose singular
-    values ``family`` carries.  The head sums (1 - theta[x_k])^2 over that
-    block; the tail (the squared residual floor) is unreachable by any
-    filter.
-    """
-    if not level >= 0.0:
-        raise InputError("filter level must be nonnegative")
-    return family.residual_sq(coeffs)(level)
+def _rank_filter(factors):
+    """The quartic filter over the numerical rank of ``factors``; raises
+    InputError unless the spectrum is nonincreasing and the rank counts at
+    least one value, all positive."""
+    sigma = check_spectrum(factors.sigma)
+    rank = factors.rank
+    if rank < 1 or sigma[rank - 1] <= 0.0:
+        raise InputError(f"quartic filter needs rank >= 1 over positive values, got {rank}")
+    return _kernels.QuarticFilter(sigma[:rank])
 
 
 @dataclass(frozen=True)
@@ -133,15 +73,15 @@ class DiscrepancyCurve:
 
 def discrepancy_curve(factors, u, num=257):
     """Sample the squared-residual curve for plotting/reporting."""
-    family = MpmiFilterFamily(factors.sigma, factors.rank)
-    rank = family.rank
+    quartic = _rank_filter(factors)
+    rank = factors.rank
     coeffs = factors.project_rhs(u, rank)
     floor_sq = float(np.sum(coeffs[rank:] ** 2))
     plateau_sq = floor_sq + float(np.sum(coeffs[:rank] ** 2))
-    breaks, jumps = ascending_breakpoints(family.breaks, JUMP * coeffs[:rank] ** 2)
+    breaks, jumps = ascending_breakpoints(quartic.breaks, JUMP * coeffs[:rank] ** 2)
     top = breaks[-1]
     levels = np.concatenate([[0.0], np.geomspace(breaks[0] * 1e-3, top * 1.05, num - 1)])
-    residual_sq = family.residual_sq(coeffs)
+    residual_sq = quartic.residual_sq(coeffs)
     values = np.array([residual_sq(float(lv)) for lv in levels])
     lefts = np.array([residual_sq(float(b)) for b in breaks])
     rights = lefts + jumps
@@ -251,11 +191,11 @@ def mpmi_spectrum(factors, coeffs, delta_abs):
     Returns ``(s, level, jumped)``.  Raises "noise dominates signal" when
     the target reaches the plateau ||u||^2.
     """
-    family = MpmiFilterFamily(factors.sigma, factors.rank)
-    rank = family.rank
+    quartic = _rank_filter(factors)
+    rank = factors.rank
     target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
     level, jumped = solve_generalized_root(
-        family.residual_sq(coeffs), family.breaks, JUMP * coeffs[:rank] ** 2,
+        quartic.residual_sq(coeffs), quartic.breaks, JUMP * coeffs[:rank] ** 2,
         target, tol_abs=1e-12 * u_norm_sq,
     )
-    return filtered_spectrum(family.sigma, level), level, jumped
+    return filtered_spectrum(quartic.sigma, level), level, jumped

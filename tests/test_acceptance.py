@@ -25,11 +25,10 @@ from minpinv.linalg import (
     assemble_filtered_pinv,
     frobenius_norm,
     moore_penrose_check,
-    spectral_cond,
+    spectrum_cond,
     svd,
 )
 from minpinv.mpm import QUARTIC_MAX, minimal_pseudoinverse
-from minpinv.mpmi import MpmiFilterFamily, discrepancy_sq, residual_floor
 
 
 def report(number, ok, detail):
@@ -40,12 +39,12 @@ def report(number, ok, detail):
 def test_criterion_1_quartic_kernel():
     rng = np.random.default_rng(1)
     t = rng.uniform(0.0, QUARTIC_MAX, 10_000)
-    _kernels.quartic_roots(t[:8])  # warm-up outside the timed region
+    _kernels.quartic_excess(t[:8])  # warm-up outside the timed region
     start = time.perf_counter()
-    x = _kernels.quartic_roots(t)
+    x = 1.0 + _kernels.quartic_excess(t)
     elapsed = time.perf_counter() - start
     residual = float(np.max(np.abs(x ** 4 - x ** 3 - t)))
-    ends = _kernels.quartic_roots(np.array([0.0, QUARTIC_MAX]))
+    ends = 1.0 + _kernels.quartic_excess(np.array([0.0, QUARTIC_MAX]))
     end_err = max(abs(ends[0] - 1.0), abs(ends[1] - 1.5))
     ok = residual <= 1e-13 and end_err <= 1e-14 and elapsed < 1.0
     assert report(
@@ -111,17 +110,15 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
     rng_seed = 4
     norm_rhs = float(np.linalg.norm(desk_problem.exact_rhs))
     u = perturb_rhs(desk_problem.exact_rhs, 0.05, seed=rng_seed)
-    family = MpmiFilterFamily(desk_factors.sigma, desk_factors.rank)
+    quartic = _kernels.QuarticFilter(desk_factors.sigma[: desk_factors.rank])
     coeffs = desk_factors.project_rhs(u)
-    floor_sq = residual_floor(desk_factors, u) ** 2
+    floor_sq = coeffs[-1] ** 2
     u_sq = float(u @ u)
 
-    top = float(family.breaks[0])
+    top = float(quartic.breaks[0])
     levels = np.linspace(0.0, 1.05 * top, 10_000)
-    values = np.array([
-        discrepancy_sq(float(level), coeffs, family)
-        for level in levels
-    ])
+    residual_sq = quartic.residual_sq(coeffs)
+    values = np.array([residual_sq(float(level)) for level in levels])
 
     nondecreasing = bool(np.all(np.diff(values) >= -1e-10 * u_sq))
     starts_at_floor = abs(values[0] - floor_sq) <= 1e-12 * max(floor_sq, u_sq)
@@ -134,13 +131,12 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
         for seed in range(5):
             u_d = perturb_rhs(desk_problem.exact_rhs, delta, seed=seed)
             delta_abs = delta * norm_rhs
-            target = delta_abs ** 2 + residual_floor(desk_factors, u_d) ** 2
-            level = solve(desk_factors, u_d, "mpmi", delta_abs=delta_abs).parameter
             c = desk_factors.project_rhs(u_d)
-            left = discrepancy_sq(level, c, family)
-            right = discrepancy_sq(
-                np.nextafter(level, np.inf), c, family
-            )
+            target = delta_abs ** 2 + c[-1] ** 2
+            level = solve(desk_factors, u_d, "mpmi", delta_abs=delta_abs).parameter
+            residual_sq = quartic.residual_sq(c)
+            left = residual_sq(level)
+            right = residual_sq(np.nextafter(level, np.inf))
             uu = float(u_d @ u_d)
             if left > target + 1e-9 * uu or right < target - 1e-9 * uu:
                 sandwich_ok = False
@@ -183,7 +179,7 @@ def test_criterion_5_convergence_with_noise():
 
 def test_criterion_6_condition_improvement(desk_problem, desk_factors):
     norm_rhs = float(np.linalg.norm(desk_problem.exact_rhs))
-    raw_cond = spectral_cond(desk_factors)
+    raw_cond = spectrum_cond(desk_factors.sigma[: desk_factors.rank])
     checked = 0
     jump_checked = 0
     ok = True
@@ -191,12 +187,13 @@ def test_criterion_6_condition_improvement(desk_problem, desk_factors):
     def check(factors, report_obj):
         nonlocal checked, jump_checked, ok
         checked += 1
-        if report_obj.condition_number > spectral_cond(factors) * (1 + 1e-12):
+        raw = spectrum_cond(factors.sigma[: factors.rank])
+        if report_obj.condition_number > raw * (1 + 1e-12):
             ok = False
         if report_obj.jump_root:
             jump_checked += 1
-            family = MpmiFilterFamily(factors.sigma, factors.rank)
-            x = family.x_values(report_obj.parameter)
+            quartic = _kernels.QuarticFilter(factors.sigma[: factors.rank])
+            x = quartic.x_values(report_obj.parameter)
             r = report_obj.effective_rank
             if x[r - 1] != 1.5:
                 ok = False
@@ -219,7 +216,7 @@ def test_criterion_6_condition_improvement(desk_problem, desk_factors):
     rng = np.random.default_rng(6)
     for _ in range(40):
         u = rng.standard_normal(3) * 4.0
-        floor_sq = residual_floor(f2, u) ** 2
+        floor_sq = f2.project_rhs(u)[-1] ** 2
         delta_sq = rng.uniform(0.05, 0.95) * (float(u @ u) - floor_sq)
         if delta_sq <= 0.0:
             continue

@@ -19,7 +19,7 @@ from minpinv.experiments import (
     run_experiment,
     table_csv,
 )
-from minpinv.linalg import spectral_cond, svd
+from minpinv.linalg import spectrum_cond, svd
 
 
 class TestBuildPoisson:
@@ -257,7 +257,7 @@ class TestDeskInvariants:
         assert any(jumps)
 
     def test_condition_never_beyond_original(self, desk_table, desk_factors):
-        raw = spectral_cond(desk_factors)
+        raw = spectrum_cond(desk_factors.sigma[: desk_factors.rank])
         for record in desk_table.records:
             if record.error is None:
                 assert record.condition_number <= raw * (1.0 + 1e-12)

@@ -17,7 +17,8 @@ from minpinv.mpm import (
     solve_generalized_root,
     solve_level,
 )
-from minpinv.mpmi import MpmiFilterFamily, discrepancy_target
+from minpinv._kernels import QuarticFilter
+from minpinv.mpmi import discrepancy_target
 
 
 def linear_residual_sq(level):
@@ -77,8 +78,8 @@ class TestRepeatedSingularValues:
 
     def test_mpmi_equal_values_share_fate(self):
         factors = svd(np.diag([1.0, 1.0]))
-        family = MpmiFilterFamily(factors.sigma, factors.rank)
-        assert family.breaks[0] == family.breaks[1]
+        quartic = QuarticFilter(factors.sigma[: factors.rank])
+        assert quartic.breaks[0] == quartic.breaks[1]
         u = np.array([2.0, 1.0])
         # jump at the shared breakpoint: left (1/9)*5, right 5; ||u||^2 = 5
         target_sq = 3.0

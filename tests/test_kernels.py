@@ -9,41 +9,45 @@ import oracles
 from minpinv import _kernels
 from minpinv.experiments import perturb_rhs
 from minpinv.mpm import ascending_breakpoints, spectrum_distance_sq
-from minpinv.mpmi import MpmiFilterFamily, discrepancy_sq
 from oracles import quartic_bisect
 
 QUARTIC_TOP = 27.0 / 16.0
 EPS = float(np.finfo(np.float64).eps)
 
 
+def quartic_roots(t):
+    """Roots x in [1, 3/2] of x**4 - x**3 = t, from the kernel's excess."""
+    return 1.0 + _kernels.quartic_excess(t)
+
+
 class TestQuarticRoots:
     def test_endpoints_exact(self):
-        out = _kernels.quartic_roots(np.array([0.0, QUARTIC_TOP]))
+        out = quartic_roots(np.array([0.0, QUARTIC_TOP]))
         assert out[0] == 1.0
         assert out[1] == 1.5
 
     @given(st.floats(min_value=0.0, max_value=QUARTIC_TOP))
     @settings(max_examples=300, deadline=None)
     def test_residual_and_range(self, t):
-        x = float(_kernels.quartic_roots(np.array([t]))[0])
+        x = float(quartic_roots(np.array([t]))[0])
         assert 1.0 <= x <= 1.5
         assert abs(x ** 4 - x ** 3 - t) <= 1e-13
 
     @given(st.floats(min_value=1e-6, max_value=QUARTIC_TOP - 1e-6))
     @settings(max_examples=100, deadline=None)
     def test_matches_bisection_oracle(self, t):
-        x = float(_kernels.quartic_roots(np.array([t]))[0])
+        x = float(quartic_roots(np.array([t]))[0])
         assert abs(x - quartic_bisect(t)) <= 1e-12
 
     def test_monotone_in_t(self):
         t = np.linspace(0.0, QUARTIC_TOP, 1000)
-        x = _kernels.quartic_roots(t)
+        x = quartic_roots(t)
         assert np.all(np.diff(x) >= 0.0)
 
     def test_matches_companion_roots(self):
         # the one real root in [1, 3/2] of x**4 - x**3 - t, from numpy.roots
         t = np.linspace(0.0, QUARTIC_TOP, 257)
-        x = _kernels.quartic_roots(t)
+        x = quartic_roots(t)
         for ti, xi in zip(t, x):
             roots = np.roots([1.0, -1.0, 0.0, 0.0, -ti])
             real = roots[np.abs(roots.imag) <= 1e-12].real
@@ -58,7 +62,7 @@ class TestFixedStepNewton:
 
     def test_roots_within_four_eps_of_converged(self):
         ref = (1 + oracles.quartic_excess_bisect_array(self.GRID, iters=70)).astype(np.float64)
-        x = _kernels.quartic_roots(self.GRID)
+        x = quartic_roots(self.GRID)
         assert np.all(np.abs(x - ref) <= 4.0 * EPS * ref)
 
     def test_excess_keeps_relative_precision(self):
@@ -71,11 +75,11 @@ class TestFixedStepNewton:
 
     def test_monotone_in_t(self):
         assert np.all(np.diff(_kernels.quartic_excess(self.GRID)) >= 0.0)
-        assert np.all(np.diff(_kernels.quartic_roots(self.GRID)) >= 0.0)
+        assert np.all(np.diff(quartic_roots(self.GRID)) >= 0.0)
 
     def test_endpoints_and_outside_exact(self):
         t = np.array([0.0, QUARTIC_TOP, -1.0, 2.0])
-        assert _kernels.quartic_roots(t).tolist() == [1.0, 1.5, 1.0, 1.5]
+        assert quartic_roots(t).tolist() == [1.0, 1.5, 1.0, 1.5]
         assert _kernels.quartic_excess(t).tolist() == [0.0, 0.5, 0.0, 0.5]
 
 
@@ -101,10 +105,10 @@ class TestQuarticFilterOnTheDeskSpectrum:
 
     def test_residual_matches_oracle(self, case):
         sigma, coeffs, _, levels = case
-        family = MpmiFilterFamily(sigma)
+        residual_sq = _kernels.QuarticFilter(sigma).residual_sq(coeffs)
         for level in levels.tolist():
             ref = oracles.mpmi_beta_sq(level, sigma, coeffs, len(sigma))
-            assert discrepancy_sq(level, coeffs, family) == pytest.approx(ref, rel=1e-13)
+            assert residual_sq(level) == pytest.approx(ref, rel=1e-13)
 
     def test_three_halves_exactly_at_each_breakpoint(self, case):
         sigma, _, breaks, _ = case
@@ -140,11 +144,11 @@ class TestFilterX:
 class TestDistanceAndDiscrepancy:
     def test_distance_zero_at_zero_level(self):
         sigma = np.array([3.0, 2.0, 1.0])
-        assert _kernels.spectrum_distance_sq(sigma, 0.0) == 0.0
+        assert _kernels.QuarticFilter(sigma).distance_sq()(0.0) == 0.0
 
     def test_distance_saturates(self):
         sigma = np.array([1.0])
-        assert _kernels.spectrum_distance_sq(sigma, 2.0) == 1.0
+        assert _kernels.QuarticFilter(sigma).distance_sq()(2.0) == 1.0
 
 
 class TestPoissonKernel:

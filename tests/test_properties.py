@@ -11,11 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minpinv._kernels import QuarticFilter
 from minpinv.baselines import solve
 from minpinv.errors import SolverError
 from minpinv.linalg import svd
 from minpinv.mpm import spectrum_distance_sq
-from minpinv.mpmi import MpmiFilterFamily, discrepancy_sq
 
 
 @st.composite
@@ -44,13 +44,13 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 def test_mpmi_level_sandwiches_the_target(problem):
     factors, u, delta_abs, _ = problem
     report = solve(factors, u, "mpmi", delta_abs=delta_abs)
-    family = MpmiFilterFamily(factors.sigma, factors.rank)
     coeffs = factors.project_rhs(u)
+    residual_sq = QuarticFilter(factors.sigma[: factors.rank]).residual_sq(coeffs)
     target = delta_abs ** 2 + float(np.sum(coeffs[factors.rank:] ** 2))
     slack = 1e-12 * float(u @ u)
     level = report.parameter
-    below = discrepancy_sq(np.nextafter(level, -np.inf), coeffs, family)
-    above = discrepancy_sq(np.nextafter(level, np.inf), coeffs, family)
+    below = residual_sq(np.nextafter(level, -np.inf))
+    above = residual_sq(np.nextafter(level, np.inf))
     assert below <= target + slack
     assert above >= target - slack
 
@@ -64,7 +64,7 @@ def test_mpmi_jump_root_identity(problem):
     report = solve(factors, u, "mpmi", delta_abs=delta_abs)
     if not report.jump_root:
         return
-    x = MpmiFilterFamily(factors.sigma, factors.rank).x_values(report.parameter)
+    x = QuarticFilter(factors.sigma[: factors.rank]).x_values(report.parameter)
     r = report.effective_rank
     assert x[r - 1] == 1.5
     expected = (2.0 / 3.0) * factors.sigma[0] * x[0] / factors.sigma[r - 1]

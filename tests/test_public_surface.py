@@ -1,12 +1,17 @@
 """The package and each module: a star import works and every ``__all__``
-entry resolves to the module's own binding."""
+entry resolves to the module's own binding; the package surface stays
+small, and the benchmark's imports resolve."""
 
 import importlib
+import os
 import pkgutil
+import sys
 
 import pytest
 
 import minpinv
+import minpinv._kernels
+import minpinv.mpm
 
 MODULES = ["minpinv"] + [f"minpinv.{info.name}"
                          for info in pkgutil.iter_modules(minpinv.__path__)]
@@ -21,3 +26,22 @@ def test_star_import_resolves(name):
     assert len(set(exported)) == len(exported)
     for entry in exported:
         assert namespace[entry] is getattr(module, entry)
+
+
+def test_package_exports_at_most_25_names():
+    assert len(minpinv.__all__) <= 25
+
+
+def test_benchmark_imports_resolve(monkeypatch):
+    """The benchmark in perfbench/ imports and reads these names, so a cut
+    to the surface that drops one breaks every benchmark run."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in ("workloads", "checks"):
+            sys.modules.pop(name, None)
+    assert workloads.spectrum_distance_sq is minpinv.mpm.spectrum_distance_sq
+    assert callable(minpinv._kernels.filter_x)
+    assert isinstance(minpinv._kernels.USING_NUMBA, bool)
