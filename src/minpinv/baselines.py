@@ -55,7 +55,7 @@ def tsvd_rank_by_matrix_error(sigma, matrix_error):
     sqrt(sum_{k>kappa} sigma_k^2) <= matrix_error < sqrt(sum_{k>=kappa} sigma_k^2).
     """
     sigma = require_vector(sigma, "spectrum")
-    if matrix_error <= 0.0:
+    if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
     tails = _coeff_tails(sigma)
     if matrix_error * matrix_error >= tails[0]:
@@ -77,17 +77,8 @@ def _morozov_values(sigma, alpha):
 
 def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
     """``values(sigma, alpha)`` over the numerical rank; without ``alpha``,
-    the alpha whose residual matches the discrepancy target."""
-    sigma = factors.sigma[: factors.rank]
-    if alpha is None:
-        alpha = _alpha_by_discrepancy(values, sigma, coeffs, delta_abs)
-    if not 0.0 < alpha < np.inf:
-        raise InputError("regularization parameter must be positive and finite")
-    return values(sigma, alpha), float(alpha), False
-
-
-def _alpha_by_discrepancy(values, sigma, coeffs, delta_abs):
-    """Alpha whose squared residual is within 1e-10 ||u||^2 of the target.
+    the alpha whose squared residual is within 1e-10 ||u||^2 of the
+    discrepancy target.
 
     The residual is continuous and increasing in alpha, so
     :func:`~minpinv.mpm.solve_generalized_root` finds it with zero jumps,
@@ -95,17 +86,21 @@ def _alpha_by_discrepancy(values, sigma, coeffs, delta_abs):
     "bracket exhausted" when the target lies above the upper end or the
     bracket closes on adjacent floats short of the tolerance.
     """
-    rank = len(sigma)
-    target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
-    head_sq = coeffs[:rank] ** 2
+    rank = factors.rank
+    sigma = factors.sigma[:rank]
+    if alpha is None:
+        target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
+        head_sq = coeffs[:rank] ** 2
 
-    def residual_sq(alpha):
-        return head_residual_sq(sigma, values(sigma, alpha), head_sq) + floor_sq
+        def residual_sq(level):
+            return head_residual_sq(sigma, values(sigma, level), head_sq) + floor_sq
 
-    breaks = np.append(sigma ** 2, 1e6 * float(sigma[0]) ** 2)
-    alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
-                                      target, 1e-10 * u_norm_sq)
-    return alpha
+        breaks = np.append(sigma ** 2, 1e6 * float(sigma[0]) ** 2)
+        alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
+                                          target, 1e-10 * u_norm_sq)
+    if not 0.0 < alpha < np.inf:
+        raise InputError("regularization parameter must be positive and finite")
+    return values(sigma, alpha), float(alpha), False
 
 
 def _mpm_spectrum(factors, coeffs, h):

@@ -10,9 +10,6 @@ bytes.  Exit codes: 0 success, 2 input/parse error, 3 solver error.
 When a command writes its primary CSV payload to a file (``--out`` /
 ``--out-dir``), the JSON summary goes to stdout; without ``--out`` the
 CSV payload takes stdout and the summary moves to stderr.
-
-``MINPINV_THREADS`` sets the number of worker threads for the
-experiment harness (results are identical regardless).
 """
 
 import argparse
@@ -148,13 +145,7 @@ def _cmd_experiment(args):
         except ValueError as exc:
             raise InputError(f"--seeds: {exc}") from exc
         config = replace(config, seeds=seeds).validate()
-    threads = os.environ.get("MINPINV_THREADS", "")
-    try:
-        workers = int(threads or "1")
-    except ValueError as exc:
-        raise InputError(
-            f"MINPINV_THREADS must be an integer, got {threads!r}") from exc
-    table = run_experiment(config, workers=max(workers, 1))
+    table = run_experiment(config)
 
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "table.csv"), "w",

@@ -12,8 +12,7 @@ bit for bit.
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -149,16 +148,7 @@ class ExperimentConfig:
         return self
 
     def to_dict(self):
-        return {
-            "m": self.m,
-            "n": self.n,
-            "h0": self.h0,
-            "deltas": list(self.deltas),
-            "seeds": list(self.seeds),
-            "methods": list(self.methods),
-            "aggregation": self.aggregation,
-            "curve_points": self.curve_points,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _parse_seeds(text):
@@ -228,16 +218,18 @@ def parse_config(text, full_scale=False):
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One (method, delta, seed) cell; a failed cell names only its error."""
+
     method: str
     delta: float
     seed: int
-    accuracy: float | None
-    condition_number: float | None
-    parameter: float | None
-    effective_rank: int | None
-    jump_root: bool
-    residual: float | None
-    error: str | None
+    accuracy: float | None = None
+    condition_number: float | None = None
+    parameter: float | None = None
+    effective_rank: int | None = None
+    jump_root: bool = False
+    residual: float | None = None
+    error: str | None = None
     curve: object = field(default=None, repr=False, compare=False)
 
 
@@ -308,12 +300,11 @@ def _aggregate(config, records):
     return tuple(rows)
 
 
-def run_experiment(config, problem=None, factors=None, workers=1):
+def run_experiment(config, problem=None, factors=None):
     """Run every (method, delta, seed) cell and aggregate per method/delta.
 
     The factorization is computed once and shared; per-cell solver
-    failures are recorded, not raised.  The result only depends on the
-    configuration, never on ``workers``.
+    failures are recorded, not raised.
     """
     config.validate()
     if problem is None:
@@ -321,53 +312,33 @@ def run_experiment(config, problem=None, factors=None, workers=1):
     if factors is None:
         factors = svd(problem.matrix)
     norm_rhs = float(np.linalg.norm(problem.exact_rhs))
-
-    tasks = [(delta, seed) for delta in config.deltas for seed in config.seeds]
-
-    def run_cell(task):
-        delta, seed = task
-        u_delta = perturb_rhs(problem.exact_rhs, delta, seed)
-        delta_abs = delta * norm_rhs
-        out = []
-        for method in config.methods:
-            try:
-                # the noise bound goes in as the method's first parameter;
-                # for mpm it doubles as the matrix error budget (the matrix
-                # itself is exact here)
-                bound = METHODS[method][1][0]
-                report = solve(factors, u_delta, method, **{bound: delta_abs})
-                curve = None
-                if config.curve_points > 0 and method == "mpmi":
-                    curve = discrepancy_curve(factors, u_delta,
-                                              num=config.curve_points)
-                out.append(RunRecord(
-                    method=method,
-                    delta=delta,
-                    seed=seed,
-                    accuracy=relative_error(report.solution, problem.truth),
-                    condition_number=report.condition_number,
-                    parameter=float(report.parameter),
-                    effective_rank=report.effective_rank,
-                    jump_root=report.jump_root,
-                    residual=report.residual,
-                    error=None,
-                    curve=curve,
-                ))
-            except SolverError as exc:
-                out.append(RunRecord(
-                    method=method, delta=delta, seed=seed,
-                    accuracy=None, condition_number=None, parameter=None,
-                    effective_rank=None, jump_root=False, residual=None,
-                    error=exc.name,
-                ))
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_cell, tasks))
-    else:
-        chunks = [run_cell(task) for task in tasks]
-    records = tuple(rec for chunk in chunks for rec in chunk)
+    records = []
+    for delta in config.deltas:
+        for seed in config.seeds:
+            u_delta = perturb_rhs(problem.exact_rhs, delta, seed)
+            for method in config.methods:
+                try:
+                    # the noise bound goes in as the method's first parameter;
+                    # for mpm it doubles as the matrix error budget (the
+                    # matrix itself is exact here)
+                    bound = METHODS[method][1][0]
+                    report = solve(factors, u_delta, method, **{bound: delta * norm_rhs})
+                    curve = None
+                    if config.curve_points > 0 and method == "mpmi":
+                        curve = discrepancy_curve(factors, u_delta, num=config.curve_points)
+                    records.append(RunRecord(
+                        method, delta, seed,
+                        accuracy=relative_error(report.solution, problem.truth),
+                        condition_number=report.condition_number,
+                        parameter=float(report.parameter),
+                        effective_rank=report.effective_rank,
+                        jump_root=report.jump_root,
+                        residual=report.residual,
+                        curve=curve,
+                    ))
+                except SolverError as exc:
+                    records.append(RunRecord(method, delta, seed, error=exc.name))
+    records = tuple(records)
     return ExperimentTable(
         config=config, rows=_aggregate(config, records), records=records
     )
@@ -395,24 +366,10 @@ def table_csv(table):
 
 
 def detail_json(table):
-    payload = {
-        "config": table.config.to_dict(),
-        "runs": [
-            {
-                "method": r.method,
-                "delta": r.delta,
-                "seed": r.seed,
-                "accuracy": r.accuracy,
-                "condition_number": r.condition_number,
-                "parameter": r.parameter,
-                "effective_rank": r.effective_rank,
-                "jump_root": r.jump_root,
-                "residual": r.residual,
-                "error": r.error,
-            }
-            for r in table.records
-        ],
-    }
+    """Config and per-run fields as sorted JSON; curves go to their own files."""
+    runs = [{f.name: getattr(r, f.name) for f in fields(r) if f.name != "curve"}
+            for r in table.records]
+    payload = {"config": table.config.to_dict(), "runs": runs}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -132,7 +132,7 @@ def svd(a, rank_tolerance=None):
         raise SolverError("factorization failed", str(exc)) from exc
     if rank_tolerance is None:
         rank_tolerance = default_rank_tolerance(sigma, a.shape)
-    elif rank_tolerance < 0.0:
+    elif not rank_tolerance >= 0.0:
         raise InputError("rank tolerance must be nonnegative")
     return SvdFactors(_freeze(u), _freeze(sigma), _freeze(vt.T), float(rank_tolerance))
 

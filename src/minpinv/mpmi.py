@@ -18,7 +18,7 @@ over sigma_1 / sigma_r is 1.5 / x_1, which lies in [1, 3/2): at most,
 not at least, one and a half fold.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,7 +72,10 @@ class DiscrepancyCurve:
 
 
 def discrepancy_curve(factors, u, num=257):
-    """Sample the squared-residual curve for plotting/reporting."""
+    """Sample the squared-residual curve for plotting/reporting at ``num``
+    levels: level 0, then a geometric grid up past the last breakpoint."""
+    if num < 1:
+        raise InputError(f"a curve needs at least one level, got {num}")
     quartic = _rank_filter(factors)
     rank = factors.rank
     coeffs = factors.project_rhs(u, rank)
@@ -131,17 +134,10 @@ class SolveReport:
     jump_root: bool = False
 
     def to_dict(self, solution_inline=True):
-        out = {
-            "method": self.method,
-            "parameter": self.parameter,
-            "effective_rank": self.effective_rank,
-            "condition_number": self.condition_number,
-            "residual": self.residual,
-            "residual_floor": self.residual_floor,
-            "jump_root": self.jump_root,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        solution = out.pop("solution")
         if solution_inline:
-            out["solution"] = self.solution.tolist()
+            out["solution"] = solution.tolist()
         return out
 
 

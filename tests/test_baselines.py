@@ -9,7 +9,7 @@ import minpinv.baselines
 import oracles
 from minpinv.baselines import (
     METHODS,
-    _alpha_by_discrepancy,
+    _alpha_spectrum,
     _coeff_tails,
     solve,
     tsvd_rank_by_matrix_error,
@@ -110,6 +110,12 @@ class TestTsvdRankByMatrixError:
     def test_bad_budget(self):
         with pytest.raises(InputError):
             tsvd_rank_by_matrix_error(np.array([1.0]), 0.0)
+
+    def test_nan_budget(self):
+        # NaN fails every comparison; it must not read as a tiny budget
+        # that keeps the full rank
+        with pytest.raises(InputError, match="must be positive"):
+            tsvd_rank_by_matrix_error(np.array([3.0, 2.0, 1.0]), float("nan"))
 
 
 class TestTsvdSolve:
@@ -340,9 +346,9 @@ class TestDiscrepancyAlpha:
         def step(sigma, alpha):
             return sigma if alpha < 0.5 else np.full_like(sigma, np.inf)
 
-        sigma, coeffs = np.array([1.0]), np.array([2.0, 0.0])
+        factors, coeffs = svd(np.diag([1.0])), np.array([2.0, 0.0])
         with pytest.raises(SolverError, match="bracket exhausted"):
-            _alpha_by_discrepancy(step, sigma, coeffs, 1.0)
+            _alpha_spectrum(step, factors, coeffs, delta_abs=1.0)
 
     def test_target_above_the_upper_end(self):
         # at alpha = 1e6 sigma_1^2 the residual is still 4 (1 - 1e-6)^2,

@@ -387,19 +387,6 @@ class TestExperiment:
         assert "error:" in err
         assert not (tmp_path / "o").exists()
 
-    def test_thread_count_must_be_an_integer(self, tmp_path, capsys, monkeypatch):
-        config_path = tmp_path / "exp.config"
-        config_path.write_text("m = 40\nn = 41\ndeltas = 0.05\nseeds = 0\nmethods = tsvd\n")
-        monkeypatch.setenv("MINPINV_THREADS", "two")
-        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path),
-                               "--out-dir", str(tmp_path / "o"))
-        assert code == 2
-        assert "MINPINV_THREADS" in err
-        monkeypatch.setenv("MINPINV_THREADS", "")
-        code, _, _ = run_cli(capsys, "experiment", "--config", str(config_path),
-                             "--out-dir", str(tmp_path / "o"))
-        assert code == 0
-
     def test_bad_config_exit_2(self, tmp_path, capsys):
         config_path = tmp_path / "exp.config"
         config_path.write_text("nonsense = true\n")

@@ -93,6 +93,14 @@ class TestSvdContract:
         assert f.rank == 2  # default cutoff is 5 * 2 * eps ~ 2e-15
         assert svd(np.diag([5.0, 1e-13]), rank_tolerance=1e-12).rank == 1
 
+    def test_rank_tolerance_must_be_nonnegative(self):
+        a = np.diag([5.0, 1.0])
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(InputError, match="nonnegative"):
+                svd(a, rank_tolerance=bad)
+        assert svd(a, rank_tolerance=0.0).rank == 2
+        assert svd(a, rank_tolerance=np.inf).rank == 0
+
 
 def assert_same_report(report, ref, rtol=1e-10):
     gap = np.linalg.norm(report.solution - ref.solution)

@@ -263,6 +263,15 @@ class TestSolveFilterLevel:
         assert np.all(curve.break_right >= curve.break_left)
         assert curve.plateau_sq == pytest.approx(float(u @ u), rel=1e-12)
 
+    def test_curve_level_count(self):
+        f = svd(np.diag([2.0, 1.0]))
+        u = np.array([1.0, 1.0])
+        assert len(discrepancy_curve(f, u, num=3).levels) == 3
+        np.testing.assert_array_equal(discrepancy_curve(f, u, num=1).levels, [0.0])
+        for bad in (0, -1):
+            with pytest.raises(InputError, match="at least one level"):
+                discrepancy_curve(f, u, num=bad)
+
 
 class TestConditionNumbers:
     def test_zero_level_gives_raw_cond(self, rng):
@@ -317,6 +326,19 @@ class TestConditionNumbers:
         quartic = rank_filter(f)
         with pytest.raises(SolverError, match="undefined condition number"):
             spectrum_cond(quartic.sigma * quartic.x_values(2.0 * QUARTIC_MAX))
+
+
+class TestReportSchema:
+    KEYS = {"method", "parameter", "effective_rank", "condition_number",
+            "residual", "residual_floor", "jump_root"}
+
+    def test_to_dict_keys(self):
+        report = solve(svd(np.diag([2.0, 1.0])), np.array([1.0, 1.0]), "mpmi",
+                       delta_abs=0.5)
+        inline = report.to_dict()
+        assert set(inline) == self.KEYS | {"solution"}
+        assert inline["solution"] == report.solution.tolist()
+        assert set(report.to_dict(solution_inline=False)) == self.KEYS
 
 
 class TestMpmiSolve:
