@@ -21,6 +21,7 @@ from .mpmi import discrepancy_target, head_residual_sq, mpmi_spectrum, spectral_
 __all__ = [
     "tsvd_rank_by_matrix_error",
     "METHODS",
+    "ParameterError",
     "solve",
 ]
 
@@ -125,6 +126,17 @@ METHODS = {
 }
 
 
+class ParameterError(InputError):
+    """No, several or unaccepted parameters for a method; ``accepted`` keeps
+    the names it takes, for a caller that spells them otherwise (the CLI)."""
+
+    def __init__(self, method, given, accepted):
+        self.accepted = accepted
+        super().__init__(
+            f"exactly one parameter required, got {given or 'none'}" if len(given) != 1
+            else f"method {method} does not accept {given[0]} (allowed: {accepted})")
+
+
 def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
     """Regularized solution of A z = u by ``method``, as a SolveReport.
 
@@ -141,15 +153,8 @@ def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
     given = {name: value for name, value in (
         ("delta_abs", delta_abs), ("rank", rank), ("alpha", alpha), ("h", h),
     ) if value is not None}
-    if len(given) != 1:
-        raise InputError(
-            f"exactly one parameter required, got {sorted(given) or 'none'}"
-        )
-    if not given.keys() <= set(accepted):
-        raise InputError(
-            f"method {method} does not accept {next(iter(given))} "
-            f"(allowed: {list(accepted)})"
-        )
+    if len(given) != 1 or not given.keys() <= set(accepted):
+        raise ParameterError(method, sorted(given), list(accepted))
     factors = a if isinstance(a, SvdFactors) else svd(a)
     coeffs = factors.project_rhs(u)
     s, parameter, jumped = chooser(factors, coeffs, **given)

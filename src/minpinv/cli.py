@@ -21,9 +21,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .baselines import METHODS, solve
+from .baselines import METHODS, ParameterError, solve
 from .errors import InputError, SolverError
 from .experiments import (
+    FULL_SHAPE,
     _parse_seeds,
     curve_csv,
     detail_json,
@@ -39,11 +40,15 @@ from .matio import (
     read_matrix,
     read_vector,
     write_matrix,
+    write_text,
     write_vector,
 )
 from .mpm import minimal_pseudoinverse
 
 INLINE_SOLUTION_LIMIT = 1000
+# solve flag -> the library parameter it gives
+SOLVE_FLAGS = {"--delta-rel": "delta_abs", "--delta-abs": "delta_abs",
+               "--rank": "rank", "--alpha": "alpha", "--h": "h"}
 
 
 def _emit_report(report_dict, payload_csv, out_path):
@@ -51,8 +56,7 @@ def _emit_report(report_dict, payload_csv, out_path):
     whichever of stdout/stderr the payload does not occupy."""
     text = json.dumps(report_dict, sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(payload_csv)
+        write_text(out_path, payload_csv)
         print(text)
     else:
         sys.stdout.write(payload_csv)
@@ -74,8 +78,13 @@ def _cmd_solve(args):
             raise InputError("give one of --delta-rel and --delta-abs, not both")
         # the exact right side is unknown to a solver: scale by ||u||
         delta_abs = args.delta_rel * float(np.linalg.norm(rhs))
-    solve_report = solve(matrix, rhs, args.method, delta_abs=delta_abs,
-                         rank=args.rank, alpha=args.alpha, h=args.h)
+    try:
+        solve_report = solve(matrix, rhs, args.method, delta_abs=delta_abs,
+                             rank=args.rank, alpha=args.alpha, h=args.h)
+    except ParameterError as exc:
+        given = [f for f in SOLVE_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
+        accepted = [f for f, name in SOLVE_FLAGS.items() if name in exc.accepted]
+        raise ParameterError(args.method, given, accepted) from None
     solution = solve_report.solution
     inline = len(solution) <= INLINE_SOLUTION_LIMIT or not args.out
     report = solve_report.to_dict(solution_inline=inline)
@@ -85,8 +94,7 @@ def _cmd_solve(args):
         report["solution_path"] = sidecar
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text + "\n")
+        write_text(args.out, text + "\n")
     else:
         print(text)
     return 0
@@ -97,13 +105,12 @@ def _cmd_pinv(args):
     if args.emit_matrix and not args.out:
         raise InputError("--emit-matrix requires --out")
     result = minimal_pseudoinverse(matrix, args.h)
-    spectrum = result.spectrum
     report = {
-        "level": spectrum.level,
-        "jump_root": spectrum.jumped,
-        "rank": spectrum.rank,
+        "level": result.level,
+        "jump_root": result.jumped,
+        "rank": result.rank,
         "distance": frobenius_norm(result.matrix - matrix),
-        "condition_number": spectrum_cond(spectrum.filtered_sigma),
+        "condition_number": spectrum_cond(result.filtered_sigma),
     }
     if args.out and args.emit_matrix:
         stem, ext = os.path.splitext(args.out)
@@ -138,22 +145,20 @@ def _cmd_experiment(args):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read config {args.config}: {exc}") from exc
-    config = parse_config(text, full_scale=args.full_scale)
+    config = parse_config(text)
+    if args.full_scale:
+        config = replace(config, m=FULL_SHAPE[0], n=FULL_SHAPE[1])
     if args.seeds:
         try:
             seeds = _parse_seeds(args.seeds)
         except ValueError as exc:
             raise InputError(f"--seeds: {exc}") from exc
-        config = replace(config, seeds=seeds).validate()
+        config = replace(config, seeds=seeds)
     table = run_experiment(config)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "table.csv"), "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write(table_csv(table))
-    with open(os.path.join(args.out_dir, "detail.json"), "w",
-              encoding="ascii", newline="\n") as fh:
-        fh.write(detail_json(table))
+    write_text(os.path.join(args.out_dir, "table.csv"), table_csv(table))
+    write_text(os.path.join(args.out_dir, "detail.json"), detail_json(table))
     if config.curve_points > 0:
         curve_dir = os.path.join(args.out_dir, "curves")
         os.makedirs(curve_dir, exist_ok=True)
@@ -161,16 +166,13 @@ def _cmd_experiment(args):
             if record.curve is None:
                 continue
             name = f"curve_{record.method}_delta{record.delta}_seed{record.seed}.csv"
-            with open(os.path.join(curve_dir, name), "w",
-                      encoding="ascii", newline="\n") as fh:
-                fh.write(curve_csv(record.curve))
+            write_text(os.path.join(curve_dir, name), curve_csv(record.curve))
 
     succeeded = sum(1 for r in table.records if r.error is None)
     failed = len(table.records) - succeeded
     for row in table.rows:
-        acc = format_float(row.accuracy) if row.accuracy is not None else "n/a"
-        cond = (format_float(row.condition_number)
-                if row.condition_number is not None else "n/a")
+        acc, cond = ("n/a" if v is None else format_float(v)
+                     for v in (row.accuracy, row.condition_number))
         print(f"{row.method} delta={row.delta}: accuracy={acc} cond={cond} "
               f"failures={row.failures}/{row.runs}")
     print(f"wrote {args.out_dir}/table.csv and detail.json "

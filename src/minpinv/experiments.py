@@ -20,7 +20,7 @@ from . import _kernels
 from .baselines import METHODS, solve
 from .errors import InputError, SolverError
 from .linalg import require_vector, svd
-from .matio import format_float, format_rows
+from .matio import format_rows
 from .mpmi import discrepancy_curve
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
 
 DESK_SHAPE = (199, 201)
 FULL_SHAPE = (1991, 2001)
-KNOWN_METHODS = tuple(METHODS)
+SCALES = {"desk": DESK_SHAPE, "full": FULL_SHAPE}
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ def relative_error(z, z_ref):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Harness settings, checked on construction and on ``replace``."""
+
     m: int = DESK_SHAPE[0]
     n: int = DESK_SHAPE[1]
     h0: float = 0.1
@@ -121,7 +123,7 @@ class ExperimentConfig:
     aggregation: str = "median"
     curve_points: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.m < 2 or self.n < 2:
             raise InputError("config: m and n must be at least 2")
         if self.h0 <= 0.0:
@@ -134,7 +136,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise InputError("config: need at least one seed")
         for method in self.methods:
-            if method not in KNOWN_METHODS:
+            if method not in METHODS:
                 raise InputError(f"config: unknown method {method!r}")
         if self.aggregation not in ("median", "mean"):
             raise InputError("config: aggregation must be median or mean")
@@ -145,7 +147,6 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 repeated = sorted(v for v, n in Counter(values).items() if n > 1)
                 raise InputError(f"config: repeated {key} {repeated}")
-        return self
 
     def to_dict(self):
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
@@ -165,12 +166,21 @@ def _parse_seeds(text):
     return tuple(seeds)
 
 
-def parse_config(text, full_scale=False):
+# config key -> parser of its text, where the field's type is not the parser
+_PARSERS = {
+    "deltas": lambda text: tuple(float(p) for p in text.split(",")),
+    "seeds": _parse_seeds,
+    "methods": lambda text: tuple(p.strip().lower() for p in text.split(",")),
+    "aggregation": str.lower,
+}
+
+
+def parse_config(text):
     """Flat key=value configuration; '#' starts a comment line.
 
-    Keys: m, n, h0, deltas, seeds, methods, aggregation, scale,
-    curve_points.  ``scale`` (desk|full) presets m and n; explicit m/n
-    override it.  ``full_scale=True`` forces the full-size grid.
+    Keys: the fields of :class:`ExperimentConfig`, plus ``scale``
+    (desk|full), which presets m and n; explicit m/n override it.
+    Omitted keys keep the dataclass defaults.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -182,38 +192,19 @@ def parse_config(text, full_scale=False):
         key, _, val = line.partition("=")
         values[key.strip().lower()] = val.strip()
 
-    known = {"m", "n", "h0", "deltas", "seeds", "methods", "aggregation",
-             "scale", "curve_points"}
-    unknown = set(values) - known
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = set(values) - set(types) - {"scale"}
     if unknown:
         raise InputError(f"config: unknown keys {sorted(unknown)}")
-
-    m, n = DESK_SHAPE
-    scale = values.get("scale", "desk").lower()
-    if scale == "full":
-        m, n = FULL_SHAPE
-    elif scale != "desk":
+    scale = values.pop("scale", "desk").lower()
+    if scale not in SCALES:
         raise InputError(f"config: scale must be desk or full, got {scale!r}")
-    if full_scale:
-        m, n = FULL_SHAPE
-
+    m, n = SCALES[scale]
     try:
-        config = ExperimentConfig(
-            m=int(values.get("m", m)) if not full_scale else m,
-            n=int(values.get("n", n)) if not full_scale else n,
-            h0=float(values.get("h0", 0.1)),
-            deltas=tuple(float(p) for p in values["deltas"].split(","))
-            if "deltas" in values else ExperimentConfig.deltas,
-            seeds=_parse_seeds(values["seeds"])
-            if "seeds" in values else ExperimentConfig.seeds,
-            methods=tuple(p.strip().lower() for p in values["methods"].split(","))
-            if "methods" in values else ExperimentConfig.methods,
-            aggregation=values.get("aggregation", "median").lower(),
-            curve_points=int(values.get("curve_points", 0)),
-        )
+        parsed = {key: _PARSERS.get(key, types[key])(val) for key, val in values.items()}
     except ValueError as exc:
         raise InputError(f"config: {exc}") from exc
-    return config.validate()
+    return ExperimentConfig(**{"m": m, "n": n, **parsed})
 
 
 @dataclass(frozen=True)
@@ -239,12 +230,12 @@ class TableRow:
     delta: float
     runs: int
     failures: int
-    accuracy: float | None
-    condition_number: float | None
-    jump_fraction: float | None
-    param_min: float | None
-    param_median: float | None
-    param_max: float | None
+    accuracy: float | None = None
+    condition_number: float | None = None
+    jump_fraction: float | None = None
+    param_min: float | None = None
+    param_median: float | None = None
+    param_max: float | None = None
 
 
 @dataclass(frozen=True)
@@ -294,8 +285,7 @@ def _aggregate(config, records):
                     param_max=max(params),
                 )
             else:
-                row = TableRow(method, delta, len(cell), len(cell),
-                               None, None, None, None, None, None)
+                row = TableRow(method, delta, len(cell), len(cell))
             rows.append(row)
     return tuple(rows)
 
@@ -306,7 +296,6 @@ def run_experiment(config, problem=None, factors=None):
     The factorization is computed once and shared; per-cell solver
     failures are recorded, not raised.
     """
-    config.validate()
     if problem is None:
         problem = build_poisson(config.m, config.n, config.h0)
     if factors is None:
@@ -339,29 +328,16 @@ def run_experiment(config, problem=None, factors=None):
                 except SolverError as exc:
                     records.append(RunRecord(method, delta, seed, error=exc.name))
     records = tuple(records)
-    return ExperimentTable(
-        config=config, rows=_aggregate(config, records), records=records
-    )
-
-
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+    return ExperimentTable(config, _aggregate(config, records), records)
 
 
 def table_csv(table):
-    header = ("method,delta,runs,failures,accuracy,cond,"
-              "jump_fraction,param_min,param_median,param_max")
-    lines = [header]
-    for r in table.rows:
-        lines.append(",".join(_cell(v) for v in (
-            r.method, r.delta, r.runs, r.failures, r.accuracy,
-            r.condition_number, r.jump_fraction,
-            r.param_min, r.param_median, r.param_max,
-        )))
+    """One line per row, with :class:`TableRow`'s fields as the columns (an
+    empty cell for None; ``str`` of a float is its shortest round trip)."""
+    names = [f.name for f in fields(TableRow)]
+    header = ",".join("cond" if name == "condition_number" else name for name in names)
+    rows = ([getattr(r, name) for name in names] for r in table.rows)
+    lines = [header, *(",".join("" if v is None else str(v) for v in row) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -107,9 +107,7 @@ def load_matrix_csv(text, where="csv input"):
                 f"{where}: row {i + 1} has {len(parts)} entries, expected {n}"
             )
         out[i] = _parse_floats(parts, f"{where} row {i + 1}")
-    if not np.all(np.isfinite(out)):
-        raise InputError(f"{where} contains non-finite entries")
-    return out
+    return require_matrix(out, where)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +154,8 @@ def load_matrix_mm(text, where="matrixmarket input"):
             f"{where}: expected {m * n} values, found {len(values)}"
         )
     # column-major values: read as the rows of A^T
-    out = np.ascontiguousarray(_parse_floats(values, where).reshape(n, m).T)
-    if not np.all(np.isfinite(out)):
-        raise InputError(f"{where} contains non-finite entries")
-    return out
+    return require_matrix(
+        np.ascontiguousarray(_parse_floats(values, where).reshape(n, m).T), where)
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +165,14 @@ def _is_mm_path(path):
     return str(path).lower().endswith((".mtx", ".mm"))
 
 
-def write_matrix(path, a):
-    text = dump_matrix_mm(a) if _is_mm_path(path) else dump_matrix_csv(a)
+def write_text(path, text):
+    """Write ``text`` to ``path`` as ASCII with ``\\n`` line ends."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
+
+
+def write_matrix(path, a):
+    write_text(path, dump_matrix_mm(a) if _is_mm_path(path) else dump_matrix_csv(a))
 
 
 def read_matrix(path):

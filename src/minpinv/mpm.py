@@ -19,7 +19,6 @@ from .errors import InputError, SolverError
 from .linalg import (
     assemble_filtered_matrix,
     assemble_filtered_pinv,
-    require_matrix,
     require_vector,
     svd,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "check_spectrum",
     "spectrum_distance_sq",
     "solve_level",
-    "MpmSpectrum",
     "MpmResult",
     "minimal_pseudoinverse",
     "solve_generalized_root",
@@ -192,9 +190,11 @@ def solve_level(matrix_error, sigma):
 
 
 @dataclass(frozen=True)
-class MpmSpectrum:
-    """Filtered-spectrum report of one minimal-pseudoinverse run."""
+class MpmResult:
+    """One minimal-pseudoinverse run: pinv, filtered matrix and spectrum."""
 
+    pinv: np.ndarray
+    matrix: np.ndarray
     sigma: np.ndarray          # original singular values
     level: float               # chosen filter level
     filtered_sigma: np.ndarray
@@ -205,41 +205,26 @@ class MpmSpectrum:
         return int(np.sum(self.filtered_sigma > 0.0))
 
 
-@dataclass(frozen=True)
-class MpmResult:
-    pinv: np.ndarray
-    matrix: np.ndarray
-    spectrum: MpmSpectrum
-
-
 def filtered_spectrum(sigma, level):
     """Filtered singular values sigma_k * x_k(level) as an array."""
     sigma = np.asarray(sigma, dtype=np.float64)
     return sigma * _kernels.filter_x(sigma, float(level))
 
 
-def minimal_pseudoinverse(a, matrix_error, factors=None):
+def minimal_pseudoinverse(a, matrix_error):
     """Minimal pseudoinverse and matrix for data ``a`` with error bound.
 
-    ``factors`` may carry a precomputed SVD of ``a``.  The distance
-    between the returned matrix and ``a`` never exceeds the bound
-    (modulo rounding in the factorization).
+    The distance between the returned matrix and ``a`` never exceeds the
+    bound (modulo rounding in the factorization).
     """
-    a = require_matrix(a)
-    if factors is None:
-        factors = svd(a)
-    spectrum_raw = factors.sigma
-    level, jumped = solve_level(matrix_error, spectrum_raw)
-    filtered = filtered_spectrum(spectrum_raw, level)
-    spectrum = MpmSpectrum(
-        sigma=spectrum_raw,
+    factors = svd(a)
+    level, jumped = solve_level(matrix_error, factors.sigma)
+    filtered = filtered_spectrum(factors.sigma, level)
+    return MpmResult(
+        pinv=assemble_filtered_pinv(factors, filtered),
+        matrix=assemble_filtered_matrix(factors, filtered),
+        sigma=factors.sigma,
         level=level,
         filtered_sigma=filtered,
         jumped=jumped,
     )
-    return MpmResult(
-        pinv=assemble_filtered_pinv(factors, filtered),
-        matrix=assemble_filtered_matrix(factors, filtered),
-        spectrum=spectrum,
-    )
-

@@ -95,7 +95,7 @@ def test_criterion_3_perturbed_pinv_rank_and_bound():
         bound = h * pinv_norm ** 2 / (1.0 - h * pinv_norm) ** 3
         err = frobenius_norm(result.pinv - ref)
         worst_ratio = max(worst_ratio, err / bound)
-        if result.spectrum.rank != rank or err > bound:
+        if result.rank != rank or err > bound:
             failures += 1
     ok = failures == 0
     assert report(

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from minpinv import cli
 from minpinv.baselines import METHODS, solve
 from minpinv.cli import main
 from minpinv.experiments import ExperimentConfig, build_poisson, perturb_rhs, run_experiment
@@ -104,6 +105,27 @@ class TestSolve:
             "--method", "mpmi",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--method", "mpm", "--delta-rel", "0.05"),
+         "method mpm does not accept --delta-rel (allowed: ['--h'])"),
+        (("--method", "mpmi", "--rank", "2"),
+         "method mpmi does not accept --rank (allowed: ['--delta-rel', '--delta-abs'])"),
+        (("--method", "tsvd", "--h", "0.1"),
+         "method tsvd does not accept --h "
+         "(allowed: ['--delta-rel', '--delta-abs', '--rank'])"),
+        (("--method", "tsvd", "--rank", "2", "--h", "0.1"),
+         "exactly one parameter required, got ['--rank', '--h']"),
+    ], ids=["mpm-delta-rel", "mpmi-rank", "tsvd-h", "tsvd-rank-h"])
+    def test_parameter_errors_name_flags(self, system_files, capsys, flags, message):
+        # solve checks the parameters; the CLI names them as the flags typed
+        _, _, matrix_path, rhs_path = system_files
+        code, out, err = run_cli(
+            capsys, "solve", "--matrix", matrix_path, "--rhs", rhs_path, *flags,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("flags", [
         ("--method", "tsvd", "--delta-abs", "nan"),
@@ -283,6 +305,31 @@ class TestPinv:
         filtered = read_matrix(tmp_path / "pinv.matrix.csv")
         assert np.linalg.norm(filtered - a) <= 0.5 * (1.0 + 1e-10)
 
+    @pytest.mark.parametrize("diagonal, h", [
+        ((3.0, 2.0, 1.0, 0.5, 0.1), 0.2),   # interior root, one index truncated
+        ((1.0,), 0.8),                      # the level lands on a breakpoint
+    ], ids=["interior", "jump"])
+    def test_agrees_with_solve_mpm(self, tmp_path, rng, capsys, diagonal, h):
+        # pinv and solve --method mpm are the two mpm entry points: the same
+        # level equation on the same factors
+        q, _ = np.linalg.qr(rng.standard_normal((len(diagonal) + 1,) * 2))
+        a = q[:, : len(diagonal)] * np.array(diagonal)
+        write_matrix(tmp_path / "a.csv", a)
+        write_vector(tmp_path / "u.csv", rng.standard_normal(len(diagonal) + 1))
+        code, _, err = run_cli(capsys, "pinv", "--matrix", str(tmp_path / "a.csv"),
+                               "--h", repr(h))
+        assert code == 0
+        pinv = json.loads(err)
+        code, out, _ = run_cli(
+            capsys, "solve", "--matrix", str(tmp_path / "a.csv"),
+            "--rhs", str(tmp_path / "u.csv"), "--method", "mpm", "--h", repr(h),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (report["parameter"], report["jump_root"], report["effective_rank"],
+                report["condition_number"]) == \
+            (pinv["level"], pinv["jump_root"], pinv["rank"], pinv["condition_number"])
+
     def test_emit_matrix_needs_out(self, tmp_path, capsys):
         matrix_path = tmp_path / "eye.csv"
         write_matrix(matrix_path, np.eye(2))
@@ -386,6 +433,30 @@ class TestExperiment:
         assert code == 2
         assert "error:" in err
         assert not (tmp_path / "o").exists()
+
+    def test_full_scale_forces_the_grid(self, tmp_path, capsys, monkeypatch):
+        # the run is stubbed out, so nothing is factorized at full scale
+        class Captured(Exception):
+            pass
+
+        def capture(config):
+            raise Captured(config)
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        config_path = tmp_path / "exp.config"
+        config_path.write_text("scale = desk\nm = 40\ndeltas = 0.05\nmethods = tsvd\n")
+        with pytest.raises(Captured) as exc:
+            main(["experiment", "--config", str(config_path), "--out-dir",
+                  str(tmp_path / "o"), "--full-scale", "--seeds", "3"])
+        config = exc.value.args[0]
+        assert (config.m, config.n) == (1991, 2001)
+        assert (config.deltas, config.seeds, config.methods) == ((0.05,), (3,), ("tsvd",))
+        # the config is still parsed in full: a malformed m exits 2
+        config_path.write_text("m = x\n")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(config_path),
+                               "--out-dir", str(tmp_path / "o"), "--full-scale")
+        assert code == 2
+        assert "error: config:" in err
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         config_path = tmp_path / "exp.config"

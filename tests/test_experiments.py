@@ -1,6 +1,7 @@
 """Model problem construction, noise model, harness determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,7 +135,20 @@ class TestParseConfig:
     def test_scale_presets(self):
         assert parse_config("scale = full").m == 1991
         assert parse_config("scale = desk").m == 199
-        assert parse_config("scale = desk", full_scale=True).m == 1991
+        assert parse_config("scale = full").n == 2001
+        assert parse_config("scale = full\nm = 30").m == 30   # explicit m overrides
+        # the CLI's --full-scale forces the full grid:
+        # tests/test_cli.py::TestExperiment::test_full_scale_forces_the_grid
+
+    def test_every_field_is_a_key(self):
+        # parse_config takes its keys and converters from the dataclass
+        config = ExperimentConfig(m=30, n=31, h0=0.2, deltas=(0.01, 0.3), seeds=(4, 2),
+                                  methods=("tsvd", "mpm"), aggregation="mean",
+                                  curve_points=3)
+        text = "\n".join(
+            f"{key} = {', '.join(map(str, v)) if isinstance(v, list) else v}"
+            for key, v in config.to_dict().items())
+        assert parse_config(text) == config
 
     @pytest.mark.parametrize("text", [
         "bogus = 1",
@@ -158,6 +172,28 @@ class TestParseConfig:
         # a repeat would run its cells again and pool them into one row
         with pytest.raises(InputError, match=f"repeated {key}"):
             parse_config(text)
+
+
+class TestConfigChecksItself:
+    @pytest.mark.parametrize("changes", [
+        {"deltas": (0.1, 0.1)},
+        {"seeds": (1, 1)},
+        {"methods": ("tsvd", "tsvd")},
+        {"m": 1},
+        {"h0": 0.0},
+        {"deltas": ()},
+        {"deltas": (1.5,)},
+        {"seeds": ()},
+        {"methods": ("magic",)},
+        {"aggregation": "mode"},
+        {"curve_points": -1},
+    ])
+    def test_invalid_config_never_exists(self, changes):
+        # construction and dataclasses.replace both run the checks
+        with pytest.raises(InputError, match="^config: "):
+            ExperimentConfig(**changes)
+        with pytest.raises(InputError, match="^config: "):
+            replace(ExperimentConfig(), **changes)
 
 
 SMALL = ExperimentConfig(

@@ -72,9 +72,9 @@ class TestRepeatedSingularValues:
 
     def test_mpm_pseudoinverse_with_duplicates(self):
         result = minimal_pseudoinverse(np.diag([2.0, 2.0, 1.0]), np.sqrt(5.0))
-        filtered = result.spectrum.filtered_sigma
+        filtered = result.filtered_sigma
         np.testing.assert_allclose(filtered, [3.0, 3.0, 0.0], atol=1e-12)
-        assert result.spectrum.rank == 2
+        assert result.rank == 2
 
     def test_mpmi_equal_values_share_fate(self):
         factors = svd(np.diag([1.0, 1.0]))
@@ -119,4 +119,4 @@ class TestDegenerateShapes:
     def test_scalar_matrix(self):
         result = minimal_pseudoinverse(np.array([[2.0]]), 0.1)
         assert result.pinv.shape == (1, 1)
-        assert result.spectrum.rank == 1
+        assert result.rank == 1

@@ -393,7 +393,7 @@ class TestMinimalPseudoinverse:
         result = minimal_pseudoinverse(np.diag([1.0]), 0.8)
         np.testing.assert_allclose(result.pinv, [[2.0 / 3.0]], atol=1e-15)
         np.testing.assert_allclose(result.matrix, [[1.5]], atol=1e-15)
-        assert result.spectrum.jumped
+        assert result.jumped
 
     def test_distance_within_budget(self, rng):
         for _ in range(10):
@@ -405,12 +405,11 @@ class TestMinimalPseudoinverse:
     def test_spectrum_invariants(self, rng):
         a = rng.standard_normal((9, 7))
         result = minimal_pseudoinverse(a, 0.3 * frobenius_norm(a))
-        spectrum = result.spectrum
         # filtered values live in {0} union [sigma_k, 1.5 sigma_k]
-        for raw, filt in zip(spectrum.sigma, spectrum.filtered_sigma):
+        for raw, filt in zip(result.sigma, result.filtered_sigma):
             assert filt == 0.0 or raw <= filt <= 1.5 * raw * (1.0 + 1e-12)
         # quartic inflation preserves nonincreasing order
-        assert np.all(np.diff(spectrum.filtered_sigma) <= 1e-12 * spectrum.sigma[0])
+        assert np.all(np.diff(result.filtered_sigma) <= 1e-12 * result.sigma[0])
 
     def test_minimal_norm_surrogate(self, rng):
         # whenever ranks agree, the filtered pseudoinverse norm cannot
@@ -420,7 +419,7 @@ class TestMinimalPseudoinverse:
             budget = rng.uniform(0.01, 0.5) * frobenius_norm(a)
             result = minimal_pseudoinverse(a, budget)
             raw_rank = svd(a).rank
-            if result.spectrum.rank == raw_rank:
+            if result.rank == raw_rank:
                 assert (
                     frobenius_norm(result.pinv)
                     <= frobenius_norm(oracles.pinv(a)) + 1e-10
@@ -446,7 +445,7 @@ class TestPerturbationProperties:
         noise = rng.standard_normal((10, 8))
         a_h = a_bar + noise * (h / frobenius_norm(noise))
         result = minimal_pseudoinverse(a_h, h)
-        assert result.spectrum.rank == 5
+        assert result.rank == 5
 
     def test_error_bound_random_pairs(self, rng):
         for _ in range(20):
@@ -462,7 +461,7 @@ class TestPerturbationProperties:
             noise = rng.standard_normal((m, n))
             a_h = a_bar + noise * (h / frobenius_norm(noise))
             result = minimal_pseudoinverse(a_h, h)
-            assert result.spectrum.rank == rank
+            assert result.rank == rank
             bound = h * pinv_norm ** 2 / (1.0 - h * pinv_norm) ** 3
             assert frobenius_norm(result.pinv - ref) <= bound
 
