@@ -38,6 +38,7 @@ from .matio import (
     format_float,
     format_rows,
     read_matrix,
+    read_text,
     read_vector,
     write_matrix,
     write_text,
@@ -140,12 +141,7 @@ def _cmd_svd_report(args):
 
 
 def _cmd_experiment(args):
-    try:
-        with open(args.config, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
-    config = parse_config(text)
+    config = parse_config(read_text(args.config))
     if args.full_scale:
         config = replace(config, m=FULL_SHAPE[0], n=FULL_SHAPE[1])
     if args.seeds:

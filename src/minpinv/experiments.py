@@ -11,6 +11,7 @@ bit for bit.
 """
 
 import json
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 
@@ -110,6 +111,12 @@ def relative_error(z, z_ref):
     return float(np.linalg.norm(z - z_ref)) / norm_ref
 
 
+# numeric field -> the type of its value, or of each entry of a tuple field
+_NUMBER_FIELDS = {"m": numbers.Integral, "n": numbers.Integral,
+                  "curve_points": numbers.Integral, "seeds": numbers.Integral,
+                  "h0": numbers.Real, "deltas": numbers.Real}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Harness settings, checked on construction and on ``replace``."""
@@ -124,9 +131,15 @@ class ExperimentConfig:
     curve_points: int = 0
 
     def __post_init__(self):
+        for key, kind in _NUMBER_FIELDS.items():
+            value = getattr(self, key)
+            for v in value if key in ("deltas", "seeds") else (value,):
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    what = "integers" if kind is numbers.Integral else "real numbers"
+                    raise InputError(f"config: {key} must be {what}, got {v!r}")
         if self.m < 2 or self.n < 2:
             raise InputError("config: m and n must be at least 2")
-        if self.h0 <= 0.0:
+        if not self.h0 > 0.0:
             raise InputError("config: h0 must be positive")
         if not self.deltas:
             raise InputError("config: need at least one delta")

@@ -1,22 +1,25 @@
 """Dense SVD factorization, filtered pseudoinverse application and checks.
 
-The factorization uses two LAPACK drivers.  The singular values come
-from values-only ``gesvd`` (bidiagonalization, then dqds), which
-resolves the deep tail of graded spectra to about machine precision
-relative to sigma_1; the divide-and-conquer driver ``gesdd``, run with
-vectors, stalls there about two orders of magnitude higher.  The singular vectors come
-from ``gesdd``, several times faster than ``gesvd`` with all rotations
-applied to U and V; its own singular values are discarded, so the rank,
-breakpoints and condition numbers all see the ``gesvd`` spectrum.  All
-public entry points validate finiteness and shapes and raise
-:class:`~minpinv.errors.InputError` / :class:`~minpinv.errors.SolverError`.
+The factorization makes two calls to ``numpy.linalg.svd``, which runs
+LAPACK's divide-and-conquer driver ``gesdd``.  The singular values come
+from the values-only call (``compute_uv=False``, JOBZ='N'): there
+``gesdd`` bidiagonalizes and ``dbdsdc`` hands the bidiagonal to
+``dbdsqr``/``dlasq1``, the dqds iteration, which resolves the deep tail
+of graded spectra to about machine precision relative to sigma_1.  Run
+with vectors, ``gesdd`` divides and conquers instead and stalls there
+about two orders of magnitude higher.  The singular vectors come from that second call
+(``full_matrices=True``), several times faster than QR iteration with
+every rotation applied to U and V; its own singular values are
+discarded, so the rank, breakpoints and condition numbers all see the
+values-only spectrum.  All public entry points validate finiteness and
+shapes and raise :class:`~minpinv.errors.InputError` /
+:class:`~minpinv.errors.SolverError`.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, SolverError
 
@@ -63,8 +66,9 @@ class SvdFactors:
 
     ``sigma`` has length min(m, n) and is nonincreasing; columns of
     ``u`` / ``v`` are the singular vectors (A = U diag(sigma) V^T).
-    :func:`svd` takes ``sigma`` from values-only ``gesvd`` and ``u`` /
-    ``v`` from ``gesdd`` (see the module docstring).  Solves read only
+    :func:`svd` takes ``sigma`` from the values-only call of
+    ``numpy.linalg.svd`` (dqds) and ``u`` / ``v`` from its full-vector
+    call (divide and conquer); see the module docstring.  Solves read only
     the leading columns (:meth:`project_rhs`); U and V stay full so that
     reports and checks can still reach the complement of the range.
     ``rank_tolerance`` fixes the numerical rank: #{k : sigma_k > tol};
@@ -114,7 +118,9 @@ def _freeze(a):
 def svd(a, rank_tolerance=None):
     """Full SVD of a dense real matrix as :class:`SvdFactors`.
 
-    sigma from values-only ``gesvd``, U and V from ``gesdd``.
+    sigma from ``numpy.linalg.svd(a, compute_uv=False)`` (``gesdd`` with
+    JOBZ='N', which runs ``dbdsqr``/``dlasq1``), U and V from
+    ``numpy.linalg.svd(a, full_matrices=True)``.
     Deterministic for identical input bits.  Raises ``InputError`` for
     non-finite or zero input and ``SolverError`` when the iteration
     fails to converge.
@@ -123,11 +129,8 @@ def svd(a, rank_tolerance=None):
     if not np.any(a):
         raise InputError("cannot factorize the zero matrix")
     try:
-        # require_matrix has already rejected non-finite entries
-        sigma = scipy.linalg.svd(a, compute_uv=False, check_finite=False,
-                                 lapack_driver="gesvd")
-        u, _, vt = scipy.linalg.svd(a, full_matrices=True, check_finite=False,
-                                    lapack_driver="gesdd")
+        sigma = np.linalg.svd(a, compute_uv=False)
+        u, _, vt = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError("factorization failed", str(exc)) from exc
     if rank_tolerance is None:

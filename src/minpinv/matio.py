@@ -165,6 +165,16 @@ def _is_mm_path(path):
     return str(path).lower().endswith((".mtx", ".mm"))
 
 
+def read_text(path):
+    """The ASCII text of ``path``; a file that cannot be opened or is not
+    ASCII raises ``InputError("cannot read <path>: ...")``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def write_text(path, text):
     """Write ``text`` to ``path`` as ASCII with ``\\n`` line ends."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -176,11 +186,7 @@ def write_matrix(path, a):
 
 
 def read_matrix(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     if _MM_BANNER.match(text) or _is_mm_path(path):
         return load_matrix_mm(text, where=str(path))
     return load_matrix_csv(text, where=str(path))

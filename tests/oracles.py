@@ -6,11 +6,15 @@ by numpy over one filtered cell at a time, spectral sums are
 plain Python loops, pseudoinverses come from numpy's SVD with its own
 cutoff, generalized roots are located by brute-force grid bracketing or
 by a linear breakpoint scan, truncation ranks by a loop over the tails,
-and matrix files are formatted one element at a time.  The package takes its singular values from values-only
-``gesvd`` (dqds, accurate in the deep tail) and its singular vectors
-from ``gesdd`` (divide and conquer, several times faster);
-:func:`gesvd_factors` is the one-driver reference with values and
-vectors both from full-vector ``gesvd`` (QR iteration).
+and matrix files are formatted one element at a time.  The package
+factorizes with numpy alone: its singular values come from the
+values-only ``numpy.linalg.svd`` (``gesdd`` with JOBZ='N', which runs
+dqds and is accurate in the deep tail) and its singular vectors from the
+full-vector call (divide and conquer).  The references here come from
+scipy's ``gesvd`` driver instead: :func:`gesvd_sigma` is values-only
+``gesvd`` (dqds after its own bidiagonalization), and
+:func:`gesvd_factors` takes values and vectors both from full-vector
+``gesvd`` (QR iteration).
 """
 
 import numpy as np
@@ -208,6 +212,11 @@ def rank_matrix(rng, m, n, rank, scale=1.0):
     left = rng.standard_normal((m, rank))
     right = rng.standard_normal((rank, n))
     return scale * (left @ right)
+
+
+def gesvd_sigma(a):
+    """Singular values from scipy's values-only ``gesvd``."""
+    return scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
 
 
 def gesvd_factors(a):

@@ -469,6 +469,16 @@ class TestExperiment:
                              "--out-dir", str(tmp_path / "o"))
         assert code == 2
 
+    def test_unreadable_config_names_the_path(self, tmp_path, capsys):
+        not_ascii = tmp_path / "accent.config"
+        not_ascii.write_bytes("# caf\u00e9\nmethods = tsvd\n".encode("utf-8"))
+        for path in (str(tmp_path / "missing.config"), str(not_ascii)):
+            code, _, err = run_cli(capsys, "experiment", "--config", path,
+                                   "--out-dir", str(tmp_path / "o"))
+            assert code == 2
+            assert err.startswith(f"error: cannot read {path}: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestVersion:
     def test_version_flag(self, capsys):

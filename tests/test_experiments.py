@@ -181,6 +181,7 @@ class TestConfigChecksItself:
         {"methods": ("tsvd", "tsvd")},
         {"m": 1},
         {"h0": 0.0},
+        {"h0": float("nan")},
         {"deltas": ()},
         {"deltas": (1.5,)},
         {"seeds": ()},
@@ -194,6 +195,24 @@ class TestConfigChecksItself:
             ExperimentConfig(**changes)
         with pytest.raises(InputError, match="^config: "):
             replace(ExperimentConfig(), **changes)
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 40.5), ("n", "41"), ("m", True), ("curve_points", 2.0),
+        ("seeds", (0.5,)), ("seeds", (1, False)), ("h0", "0.1"), ("h0", True),
+        ("deltas", (0.1, "0.2")),
+    ])
+    def test_wrong_types_name_the_key(self, key, value):
+        message = f"^config: {key} must be (integers|real numbers), got "
+        with pytest.raises(InputError, match=message):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(InputError, match=message):
+            replace(ExperimentConfig(), **{key: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        config = ExperimentConfig(m=np.int64(40), n=np.int32(41), h0=np.float64(0.2),
+                                  deltas=(np.float32(0.05), 1 / 8), seeds=(np.int64(3),),
+                                  curve_points=np.uint8(0))
+        assert config.m == 40 and config.seeds == (3,)
 
 
 SMALL = ExperimentConfig(

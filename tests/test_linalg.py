@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oracles
 from minpinv.baselines import METHODS, solve
@@ -112,13 +111,25 @@ def assert_same_report(report, ref, rtol=1e-10):
 
 
 class TestMixedDrivers:
-    """sigma from values-only gesvd, U and V from gesdd."""
+    """sigma from numpy's values-only SVD (dqds), U and V from its
+    full-vector SVD (divide and conquer)."""
 
-    def test_sigma_is_values_only_gesvd(self, desk_problem, desk_factors):
-        expected = scipy.linalg.svd(
-            desk_problem.matrix, compute_uv=False, lapack_driver="gesvd"
-        )
-        assert np.array_equal(desk_factors.sigma, expected)
+    def test_factors_are_numpy_svd(self, desk_problem, desk_factors):
+        a = desk_problem.matrix
+        assert np.array_equal(desk_factors.sigma, np.linalg.svd(a, compute_uv=False))
+        u, _, vt = np.linalg.svd(a, full_matrices=True)
+        assert np.array_equal(desk_factors.u, u)
+        assert np.array_equal(desk_factors.v, vt.T)
+
+    @pytest.mark.parametrize("shape", [(299, 301), (995, 1001)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_sigma_keeps_the_deep_tail_of_gesvd(self, shape):
+        # gesdd's own sigma with vectors are off by up to about 60x and 260x here
+        a = build_poisson(*shape, 0.1).matrix
+        sigma = svd(a).sigma
+        ref = oracles.gesvd_sigma(a)
+        assert ref[-1] > 0.0
+        assert np.max(np.abs(sigma - ref) / ref) <= 1e-13
 
     @pytest.mark.parametrize("delta", [0.005, 0.05, 0.3])
     def test_desk_methods_match_gesvd_reference(self, desk_problem, desk_factors, delta):

@@ -1,6 +1,7 @@
 """File format round-trips and parse failures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from minpinv.matio import (
     load_matrix_csv,
     load_matrix_mm,
     read_matrix,
+    read_text,
     read_vector,
     write_matrix,
     write_vector,
@@ -189,6 +191,14 @@ class TestPaths:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             read_matrix(tmp_path / "nope.csv")
+
+    def test_unreadable_text_names_the_path(self, tmp_path):
+        not_ascii = tmp_path / "accent.csv"
+        not_ascii.write_bytes("rows,cols\n1,1\n1.0\u00e9\n".encode("utf-8"))
+        for path in (tmp_path / "nope.csv", not_ascii):
+            for reader in (read_text, read_matrix):
+                with pytest.raises(InputError, match=f"^cannot read {re.escape(str(path))}: "):
+                    reader(path)
 
 
 # Tokens around the edges of Python's float grammar: whitespace, digit

@@ -1,10 +1,12 @@
 """The package and each module: a star import works and every ``__all__``
 entry resolves to the module's own binding; the package surface stays
-small, and the benchmark's imports resolve."""
+small, importing it loads no scipy, and the benchmark's imports
+resolve."""
 
 import importlib
 import os
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -30,6 +32,18 @@ def test_star_import_resolves(name):
 
 def test_package_exports_at_most_25_names():
     assert len(minpinv.__all__) <= 25
+
+
+def test_imports_without_scipy():
+    """numpy is the only runtime dependency: importing the package and
+    its CLI in a fresh interpreter loads no scipy module."""
+    src = os.path.dirname(os.path.dirname(minpinv.__file__))
+    code = ("import sys, minpinv, minpinv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_benchmark_imports_resolve(monkeypatch):
