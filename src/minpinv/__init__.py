@@ -23,7 +23,6 @@ from .linalg import (
     SvdFactors,
     assemble_filtered_pinv,
     frobenius_norm,
-    moore_penrose_check,
     spectrum_cond,
     svd,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "spectrum_cond",
     "frobenius_norm",
     "assemble_filtered_pinv",
-    "moore_penrose_check",
     # I/O
     "read_matrix",
     "write_matrix",

@@ -10,12 +10,14 @@ root converges monotonically; four steps reach it to within a few ulps
 anywhere on the range, so the kernel takes exactly four, with no
 convergence test.  Endpoints are returned exactly.
 
-``QuarticFilter`` applies the kernel to one nonincreasing spectrum and is
-set up once per solve.  The breakpoints (27/16) sigma_k**4 fall with k,
-so the indices the filter keeps at a level are a prefix, found by binary
-search; the quartic runs on that live prefix only, and the truncated
-indices enter through precomputed suffix sums.  ``filter_x`` is its only
-one-shot form, and ``poisson_kernel`` fills the model problem's matrix.
+``QuarticFilter`` applies the kernel to one nonincreasing spectrum: the
+rank block of a factorization, set up once (``SvdFactors.quartic``), or
+mpm's positive block, set up on each solve.  The breakpoints (27/16)
+sigma_k**4 fall with k, so the indices the filter keeps at a level are a
+prefix, found by binary search; the quartic runs on that live prefix
+only, and the truncated indices enter through precomputed suffix sums.
+``filter_x`` is its only one-shot form, and ``poisson_kernel`` fills the
+model problem's matrix.
 """
 
 from bisect import bisect_left, bisect_right
@@ -40,8 +42,11 @@ def quartic_excess(t):
 
     Newton on (1 + y)**3 y = t starts from the root 2t / (sqrt(1 + 12t) + 1)
     of (1 + 3y) y = t, capped at 1/2.  Since (1 + y)**3 >= 1 + 3y, the
-    start is an upper bound on the root.  Within about 1e-14 of 27/16 the
-    result may step back by one ulp as t grows.
+    start is an upper bound on the root.  y is within a few eps of the
+    exact root, so it is not monotone at the scale of an ulp: as t grows it
+    may fall below an earlier value by at most twice that error (measured:
+    4 eps relative, 7 ulps, over runs of adjacent floats anywhere in the
+    range); a grid whose steps raise the exact root by more never sees it.
     """
     t = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
     y = np.minimum(2.0 * t / (np.sqrt(1.0 + 12.0 * t) + 1.0), 0.5)

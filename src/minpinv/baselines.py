@@ -110,7 +110,7 @@ def _mpm_spectrum(factors, coeffs, h):
     it (a tiny ``h``); the survivors are a prefix, as the breakpoints fall.
     """
     level, jumped = solve_level(h, factors.sigma)
-    s = filtered_spectrum(factors.sigma[factors.sigma > 0.0], level)
+    s = filtered_spectrum(factors.sigma, level)
     return s[: max(factors.rank, np.count_nonzero(s))], level, jumped
 
 

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._kernels import QuarticFilter
 from .errors import InputError, SolverError
 
 EPS = np.finfo(np.float64).eps
@@ -48,6 +49,17 @@ def require_vector(u, what="vector"):
     return u
 
 
+def check_spectrum(sigma):
+    """``sigma`` as a float64 array, rejecting a spectrum with a negative
+    entry or a rise: the quartic filter needs a nonincreasing one."""
+    sigma = require_vector(sigma, "spectrum")
+    if np.any(sigma < 0.0):
+        raise InputError("spectrum entries must be nonnegative")
+    if np.any(np.diff(sigma) > 0.0):
+        raise InputError("spectrum must be nonincreasing")
+    return sigma
+
+
 def frobenius_norm(a):
     """Euclidean (Frobenius) norm; the matrix norm used throughout."""
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
@@ -64,21 +76,31 @@ def default_rank_tolerance(sigma, shape):
 class SvdFactors:
     """Full orthogonal factors U (m x m), V (n x n) and singular values.
 
-    ``sigma`` has length min(m, n) and is nonincreasing; columns of
-    ``u`` / ``v`` are the singular vectors (A = U diag(sigma) V^T).
+    ``sigma`` has length min(m, n), is nonnegative and nonincreasing;
+    columns of ``u`` / ``v`` are the singular vectors (A = U diag(sigma) V^T).
     :func:`svd` takes ``sigma`` from the values-only call of
     ``numpy.linalg.svd`` (dqds) and ``u`` / ``v`` from its full-vector
     call (divide and conquer); see the module docstring.  Solves read only
     the leading columns (:meth:`project_rhs`); U and V stay full so that
     reports and checks can still reach the complement of the range.
-    ``rank_tolerance`` fixes the numerical rank: #{k : sigma_k > tol};
-    ``svd(a, rank_tolerance=tol)`` sets it.
+    ``rank_tolerance >= 0`` fixes the numerical rank: #{k : sigma_k > tol};
+    ``svd(a, rank_tolerance=tol)`` sets it.  Construction checks all of
+    this once (InputError); ``rank`` and ``quartic`` are cached.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     rank_tolerance: float
+
+    def __post_init__(self):
+        m, n = self.shape
+        if self.u.shape != (m, m) or self.v.shape != (n, n):
+            raise InputError(f"U and V must be square, got {self.u.shape} and {self.v.shape}")
+        if check_spectrum(self.sigma).shape[0] != min(m, n):
+            raise InputError(f"spectrum length {len(self.sigma)} is not min(m, n) = {min(m, n)}")
+        if not self.rank_tolerance >= 0.0:
+            raise InputError("rank tolerance must be nonnegative")
 
     @property
     def shape(self):
@@ -87,6 +109,14 @@ class SvdFactors:
     @cached_property
     def rank(self):
         return int(np.sum(self.sigma > self.rank_tolerance))
+
+    @cached_property
+    def quartic(self):
+        """The quartic filter over the numerical rank, whose values are all
+        positive as the tolerance is nonnegative; InputError at rank 0."""
+        if self.rank < 1:
+            raise InputError("quartic filter needs a numerical rank of at least 1")
+        return QuarticFilter(self.sigma[: self.rank])
 
     def project_rhs(self, u, width=None):
         """U_w^T u over the leading w = ``width`` columns (default: the
@@ -122,8 +152,8 @@ def svd(a, rank_tolerance=None):
     JOBZ='N', which runs ``dbdsqr``/``dlasq1``), U and V from
     ``numpy.linalg.svd(a, full_matrices=True)``.
     Deterministic for identical input bits.  Raises ``InputError`` for
-    non-finite or zero input and ``SolverError`` when the iteration
-    fails to converge.
+    non-finite or zero input or a negative ``rank_tolerance`` and
+    ``SolverError`` when the iteration fails to converge.
     """
     a = require_matrix(a)
     if not np.any(a):
@@ -135,8 +165,6 @@ def svd(a, rank_tolerance=None):
         raise SolverError("factorization failed", str(exc)) from exc
     if rank_tolerance is None:
         rank_tolerance = default_rank_tolerance(sigma, a.shape)
-    elif not rank_tolerance >= 0.0:
-        raise InputError("rank tolerance must be nonnegative")
     return SvdFactors(_freeze(u), _freeze(sigma), _freeze(vt.T), float(rank_tolerance))
 
 
@@ -160,41 +188,6 @@ def assemble_filtered_matrix(factors, filtered_sigma):
     if filtered_sigma.shape[0] != big_m:
         raise InputError("filtered spectrum length mismatch")
     return (factors.u[:, :big_m] * filtered_sigma) @ factors.v[:, :big_m].T
-
-
-@dataclass(frozen=True)
-class PinvCheckReport:
-    """Relative residuals of the four Moore-Penrose identities."""
-
-    axa: float        # ||A X A - A|| / ||A||
-    xax: float        # ||X A X - X|| / ||X||
-    ax_symmetry: float  # ||(A X)^T - A X|| / (||A|| ||X||)
-    xa_symmetry: float  # ||(X A)^T - X A|| / (||A|| ||X||)
-
-    def max_residual(self):
-        return max(self.axa, self.xax, self.ax_symmetry, self.xa_symmetry)
-
-
-def moore_penrose_check(a, a_plus):
-    """Residuals of the four Moore-Penrose conditions for X ~ A^+."""
-    a = require_matrix(a, "matrix")
-    a_plus = require_matrix(a_plus, "candidate pseudoinverse")
-    if a_plus.shape != (a.shape[1], a.shape[0]):
-        raise InputError(
-            f"pseudoinverse shape {a_plus.shape} does not match matrix shape {a.shape}"
-        )
-    norm_a = frobenius_norm(a)
-    norm_x = frobenius_norm(a_plus)
-    ax = a @ a_plus
-    xa = a_plus @ a
-    scale_a = norm_a if norm_a > 0.0 else 1.0
-    scale_x = norm_x if norm_x > 0.0 else 1.0
-    return PinvCheckReport(
-        axa=frobenius_norm(ax @ a - a) / scale_a,
-        xax=frobenius_norm(xa @ a_plus - a_plus) / scale_x,
-        ax_symmetry=frobenius_norm(ax.T - ax) / (scale_a * scale_x),
-        xa_symmetry=frobenius_norm(xa.T - xa) / (scale_a * scale_x),
-    )
 
 
 def spectrum_cond(values):

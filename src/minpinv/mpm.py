@@ -19,13 +19,12 @@ from .errors import InputError, SolverError
 from .linalg import (
     assemble_filtered_matrix,
     assemble_filtered_pinv,
-    require_vector,
+    check_spectrum,
     svd,
 )
 
 __all__ = [
     "QUARTIC_MAX",
-    "check_spectrum",
     "spectrum_distance_sq",
     "solve_level",
     "MpmResult",
@@ -33,17 +32,6 @@ __all__ = [
     "solve_generalized_root",
     "ascending_breakpoints",
 ]
-
-
-def check_spectrum(sigma):
-    """``sigma`` as a float64 array, rejecting a spectrum with a negative
-    entry or a rise: the quartic filter needs a nonincreasing one."""
-    sigma = require_vector(sigma, "spectrum")
-    if np.any(sigma < 0.0):
-        raise InputError("spectrum entries must be nonnegative")
-    if np.any(np.diff(sigma) > 0.0):
-        raise InputError("spectrum must be nonincreasing")
-    return sigma
 
 
 def spectrum_distance_sq(level, sigma):

@@ -22,15 +22,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import _kernels
 from .errors import InputError, SolverError
 from .linalg import spectrum_cond
-from .mpm import (
-    ascending_breakpoints,
-    check_spectrum,
-    filtered_spectrum,
-    solve_generalized_root,
-)
+from .mpm import ascending_breakpoints, filtered_spectrum, solve_generalized_root
 
 __all__ = [
     "DiscrepancyCurve",
@@ -45,17 +39,6 @@ __all__ = [
 # theta = 1/x drops from 2/3 to 0 at a breakpoint, so the squared residual
 # of index k jumps there by (1 - (1 - 2/3)^2) c_k^2.
 JUMP = 1.0 - (1.0 - 1.0 / 1.5) ** 2
-
-
-def _rank_filter(factors):
-    """The quartic filter over the numerical rank of ``factors``; raises
-    InputError unless the spectrum is nonincreasing and the rank counts at
-    least one value, all positive."""
-    sigma = check_spectrum(factors.sigma)
-    rank = factors.rank
-    if rank < 1 or sigma[rank - 1] <= 0.0:
-        raise InputError(f"quartic filter needs rank >= 1 over positive values, got {rank}")
-    return _kernels.QuarticFilter(sigma[:rank])
 
 
 @dataclass(frozen=True)
@@ -76,7 +59,7 @@ def discrepancy_curve(factors, u, num=257):
     levels: level 0, then a geometric grid up past the last breakpoint."""
     if num < 1:
         raise InputError(f"a curve needs at least one level, got {num}")
-    quartic = _rank_filter(factors)
+    quartic = factors.quartic
     rank = factors.rank
     coeffs = factors.project_rhs(u, rank)
     floor_sq = float(np.sum(coeffs[rank:] ** 2))
@@ -187,7 +170,7 @@ def mpmi_spectrum(factors, coeffs, delta_abs):
     Returns ``(s, level, jumped)``.  Raises "noise dominates signal" when
     the target reaches the plateau ||u||^2.
     """
-    quartic = _rank_filter(factors)
+    quartic = factors.quartic
     rank = factors.rank
     target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
     level, jumped = solve_generalized_root(

@@ -14,13 +14,17 @@ full-vector call (divide and conquer).  The references here come from
 scipy's ``gesvd`` driver instead: :func:`gesvd_sigma` is values-only
 ``gesvd`` (dqds after its own bidiagonalization), and
 :func:`gesvd_factors` takes values and vectors both from full-vector
-``gesvd`` (QR iteration).
+``gesvd`` (QR iteration).  :func:`moore_penrose_check` measures how far
+a candidate pseudoinverse is from the four Moore-Penrose identities.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from minpinv.linalg import SvdFactors, default_rank_tolerance
+from minpinv.errors import InputError
+from minpinv.linalg import SvdFactors, default_rank_tolerance, frobenius_norm, require_matrix
 
 QUARTIC_TOP = 27.0 / 16.0
 
@@ -263,3 +267,38 @@ def dump_matrix_mm_scan(a):
         for i in range(m):
             lines.append(repr(float(a[i, j])))
     return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class PinvCheckReport:
+    """Relative residuals of the four Moore-Penrose identities."""
+
+    axa: float        # ||A X A - A|| / ||A||
+    xax: float        # ||X A X - X|| / ||X||
+    ax_symmetry: float  # ||(A X)^T - A X|| / (||A|| ||X||)
+    xa_symmetry: float  # ||(X A)^T - X A|| / (||A|| ||X||)
+
+    def max_residual(self):
+        return max(self.axa, self.xax, self.ax_symmetry, self.xa_symmetry)
+
+
+def moore_penrose_check(a, a_plus):
+    """Residuals of the four Moore-Penrose conditions for X ~ A^+."""
+    a = require_matrix(a, "matrix")
+    a_plus = require_matrix(a_plus, "candidate pseudoinverse")
+    if a_plus.shape != (a.shape[1], a.shape[0]):
+        raise InputError(
+            f"pseudoinverse shape {a_plus.shape} does not match matrix shape {a.shape}"
+        )
+    norm_a = frobenius_norm(a)
+    norm_x = frobenius_norm(a_plus)
+    ax = a @ a_plus
+    xa = a_plus @ a
+    scale_a = norm_a if norm_a > 0.0 else 1.0
+    scale_x = norm_x if norm_x > 0.0 else 1.0
+    return PinvCheckReport(
+        axa=frobenius_norm(ax @ a - a) / scale_a,
+        xax=frobenius_norm(xa @ a_plus - a_plus) / scale_x,
+        ax_symmetry=frobenius_norm(ax.T - ax) / (scale_a * scale_x),
+        xa_symmetry=frobenius_norm(xa.T - xa) / (scale_a * scale_x),
+    )

@@ -24,7 +24,6 @@ from minpinv.experiments import (
 from minpinv.linalg import (
     assemble_filtered_pinv,
     frobenius_norm,
-    moore_penrose_check,
     spectrum_cond,
     svd,
 )
@@ -69,7 +68,7 @@ def test_criterion_2_moore_penrose_oracle():
         filtered = np.where(factors.sigma > factors.rank_tolerance,
                             factors.sigma, 0.0)
         candidate = assemble_filtered_pinv(factors, filtered)
-        worst = max(worst, moore_penrose_check(a, candidate).max_residual())
+        worst = max(worst, oracles.moore_penrose_check(a, candidate).max_residual())
     ok = worst <= 1e-10
     assert report(2, ok, f"100 random matrices, worst residual {worst:.2e} (<=1e-10)")
     assert worst <= 1e-10
@@ -110,7 +109,7 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
     rng_seed = 4
     norm_rhs = float(np.linalg.norm(desk_problem.exact_rhs))
     u = perturb_rhs(desk_problem.exact_rhs, 0.05, seed=rng_seed)
-    quartic = _kernels.QuarticFilter(desk_factors.sigma[: desk_factors.rank])
+    quartic = desk_factors.quartic
     coeffs = desk_factors.project_rhs(u)
     floor_sq = coeffs[-1] ** 2
     u_sq = float(u @ u)
@@ -192,7 +191,7 @@ def test_criterion_6_condition_improvement(desk_problem, desk_factors):
             ok = False
         if report_obj.jump_root:
             jump_checked += 1
-            quartic = _kernels.QuarticFilter(factors.sigma[: factors.rank])
+            quartic = factors.quartic
             x = quartic.x_values(report_obj.parameter)
             r = report_obj.effective_rank
             if x[r - 1] != 1.5:

@@ -17,7 +17,6 @@ from minpinv.mpm import (
     solve_generalized_root,
     solve_level,
 )
-from minpinv._kernels import QuarticFilter
 from minpinv.mpmi import discrepancy_target
 
 
@@ -78,7 +77,7 @@ class TestRepeatedSingularValues:
 
     def test_mpmi_equal_values_share_fate(self):
         factors = svd(np.diag([1.0, 1.0]))
-        quartic = QuarticFilter(factors.sigma[: factors.rank])
+        quartic = factors.quartic
         assert quartic.breaks[0] == quartic.breaks[1]
         u = np.array([2.0, 1.0])
         # jump at the shared breakpoint: left (1/9)*5, right 5; ||u||^2 = 5

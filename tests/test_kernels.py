@@ -77,6 +77,20 @@ class TestFixedStepNewton:
         assert np.all(np.diff(_kernels.quartic_excess(self.GRID)) >= 0.0)
         assert np.all(np.diff(quartic_roots(self.GRID)) >= 0.0)
 
+    def test_steps_back_by_at_most_twice_its_error(self):
+        # over runs of adjacent floats the excess is not monotone, but it
+        # never falls below an earlier value by more than twice the 4 eps
+        # error of one value (measured: 4 eps, 7 ulps)
+        centers = np.concatenate([
+            np.linspace(0.0, QUARTIC_TOP, 41)[1:],
+            np.geomspace(1e-20, 1e-3, 18),
+            QUARTIC_TOP * (1.0 - np.geomspace(1e-3, 1e-15, 13)),
+        ])
+        for c in centers:
+            t = c + np.arange(-1000, 1000) * np.spacing(c)
+            y = _kernels.quartic_excess(t[(t > 0.0) & (t <= QUARTIC_TOP)])
+            assert np.all(np.maximum.accumulate(y) - y <= 8.0 * EPS * y)
+
     def test_endpoints_and_outside_exact(self):
         t = np.array([0.0, QUARTIC_TOP, -1.0, 2.0])
         assert quartic_roots(t).tolist() == [1.0, 1.5, 1.0, 1.5]

@@ -9,10 +9,10 @@ from minpinv.errors import InputError, SolverError
 from minpinv.experiments import build_poisson, perturb_rhs
 from minpinv.linalg import (
     EPS,
+    SvdFactors,
     assemble_filtered_matrix,
     assemble_filtered_pinv,
     frobenius_norm,
-    moore_penrose_check,
     spectrum_cond,
     svd,
 )
@@ -99,6 +99,34 @@ class TestSvdContract:
                 svd(a, rank_tolerance=bad)
         assert svd(a, rank_tolerance=0.0).rank == 2
         assert svd(a, rank_tolerance=np.inf).rank == 0
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@pytest.mark.parametrize("bad", ["rising", "negative", "short"])
+def test_bad_spectrum_fails_when_the_factors_are_built(method, bad):
+    # every method reads the spectrum through SvdFactors, which checks it
+    # once; a hand-built bad one never reaches a solve
+    f = svd(np.diag([2.0, 1.0, 0.5]))
+    sigma = {"rising": f.sigma[::-1], "negative": f.sigma * [1.0, 1.0, -1.0],
+             "short": f.sigma[:2]}[bad]
+    parameter = {METHODS[method][1][0]: 0.1}
+    with pytest.raises(InputError, match="spectrum"):
+        solve(SvdFactors(f.u, sigma, f.v, f.rank_tolerance), np.ones(3), method, **parameter)
+
+
+def test_factors_reject_non_square_vectors():
+    f = svd(np.diag([2.0, 1.0, 0.5]))
+    with pytest.raises(InputError, match="square"):
+        SvdFactors(f.u[:, :2], f.sigma, f.v, f.rank_tolerance)
+    with pytest.raises(InputError, match="nonnegative"):
+        SvdFactors(f.u, f.sigma, f.v, -1.0)
+
+
+def test_quartic_is_the_rank_block_filter_set_up_once():
+    f = svd(np.diag([2.0, 1.0, 1e-20]))
+    assert f.rank == 2
+    assert f.quartic is f.quartic
+    np.testing.assert_array_equal(f.quartic.sigma, f.sigma[:2])
 
 
 def assert_same_report(report, ref, rtol=1e-10):
@@ -277,28 +305,28 @@ class TestApplyFilteredPinv:
 
 class TestMoorePenrose:
     def test_identity(self):
-        report = moore_penrose_check(np.eye(3), np.eye(3))
+        report = oracles.moore_penrose_check(np.eye(3), np.eye(3))
         assert report.max_residual() == 0.0
 
     def test_singular_diagonal(self):
-        report = moore_penrose_check(np.diag([2.0, 0.0]), np.diag([0.5, 0.0]))
+        report = oracles.moore_penrose_check(np.diag([2.0, 0.0]), np.diag([0.5, 0.0]))
         assert report.max_residual() == 0.0
 
     def test_svd_assembled_random(self, rng):
         a = oracles.rank_matrix(rng, 7, 5, 3)
         f = svd(a)
         filtered = np.where(f.sigma > f.rank_tolerance, f.sigma, 0.0)
-        report = moore_penrose_check(a, assemble_filtered_pinv(f, filtered))
+        report = oracles.moore_penrose_check(a, assemble_filtered_pinv(f, filtered))
         assert report.max_residual() <= 1e-10
 
     def test_matches_reference_pinv(self, rng):
         a = oracles.rank_matrix(rng, 6, 9, 4)
-        report = moore_penrose_check(a, oracles.pinv(a))
+        report = oracles.moore_penrose_check(a, oracles.pinv(a))
         assert report.max_residual() <= 1e-10
 
     def test_shape_check(self):
         with pytest.raises(InputError):
-            moore_penrose_check(np.eye(3), np.eye(4))
+            oracles.moore_penrose_check(np.eye(3), np.eye(4))
 
 
 class TestConditionNumbers:

@@ -17,11 +17,6 @@ X_AT_SIXTEENTH = 1.0534596701881083
 INTERIOR_LEVEL = 0.6154008690164714
 
 
-def rank_filter(factors):
-    """The quartic filter the mpmi solve sets up: over the numerical rank."""
-    return QuarticFilter(factors.sigma[: factors.rank])
-
-
 class TestFamilyContract:
     """Assumptions on the filter factors, checked on a concrete spectrum."""
 
@@ -80,17 +75,19 @@ class TestFamilyContract:
         )
 
     def test_rejects_bad_construction(self):
-        # a rising spectrum and a numerical rank of zero, through both
-        # entry points that set up the filter
+        # a rising spectrum fails when the factors are built; a numerical
+        # rank of zero fails at the filter and both entry points that use it
         f = svd(np.diag([2.0, 1.0]))
-        rising = SvdFactors(f.u, f.sigma[::-1].copy(), f.v, f.rank_tolerance)
+        with pytest.raises(InputError):
+            SvdFactors(f.u, f.sigma[::-1].copy(), f.v, f.rank_tolerance)
         rank_zero = svd(np.diag([2.0, 1.0]), rank_tolerance=1e300)
         assert rank_zero.rank == 0
-        for factors in (rising, rank_zero):
-            with pytest.raises(InputError):
-                solve(factors, np.ones(2), "mpmi", delta_abs=0.1)
-            with pytest.raises(InputError):
-                discrepancy_curve(factors, np.ones(2))
+        with pytest.raises(InputError):
+            rank_zero.quartic
+        with pytest.raises(InputError):
+            solve(rank_zero, np.ones(2), "mpmi", delta_abs=0.1)
+        with pytest.raises(InputError):
+            discrepancy_curve(rank_zero, np.ones(2))
 
 
 class TestMpmiX:
@@ -133,7 +130,7 @@ class TestDiscrepancy:
         a = oracles.rank_matrix(rng, 7, 5, 3)
         f = svd(a)
         u = rng.standard_normal(7)
-        quartic = rank_filter(f)
+        quartic = f.quartic
         coeffs = f.project_rhs(u)
         assert quartic.residual_sq(coeffs)(0.0) == pytest.approx(
             f.project_rhs(u)[-1] ** 2, rel=1e-12
@@ -143,7 +140,7 @@ class TestDiscrepancy:
         a = oracles.rank_matrix(rng, 7, 5, 3)
         f = svd(a)
         u = rng.standard_normal(7)
-        quartic = rank_filter(f)
+        quartic = f.quartic
         coeffs = f.project_rhs(u)
         past_top = 2.0 * quartic.breaks[0]
         assert quartic.residual_sq(coeffs)(past_top) == pytest.approx(
@@ -153,7 +150,7 @@ class TestDiscrepancy:
     def test_breakpoint_value(self):
         # A = diag(1), u = (2), level at the breakpoint: (1 - 2/3)^2 * 4
         f = svd(np.diag([1.0]))
-        quartic = rank_filter(f)
+        quartic = f.quartic
         coeffs = f.project_rhs(np.array([2.0]))
         value = quartic.residual_sq(coeffs)(float(quartic.breaks[0]))
         assert value == pytest.approx(4.0 / 9.0, rel=1e-14)
@@ -161,7 +158,7 @@ class TestDiscrepancy:
     def test_discrepancy_saturates(self):
         # A = diag(1), u = (2): all of ||u||^2 past the breakpoint, 4/9 at it
         f = svd(np.diag([1.0]))
-        quartic = rank_filter(f)
+        quartic = f.quartic
         coeffs = f.project_rhs(np.array([2.0]))
         assert quartic.residual_sq(coeffs)(2.0) == 4.0
         at_break = quartic.residual_sq(coeffs)(QUARTIC_MAX)
@@ -171,7 +168,7 @@ class TestDiscrepancy:
         a = oracles.rank_matrix(rng, 8, 6, 4)
         f = svd(a)
         u = rng.standard_normal(8)
-        quartic = rank_filter(f)
+        quartic = f.quartic
         coeffs = f.project_rhs(u)
         for level in np.geomspace(quartic.breaks[-1] * 1e-4, 1.5 * quartic.breaks[0], 40):
             ours = quartic.residual_sq(coeffs)(float(level))
@@ -188,7 +185,7 @@ class TestSolveFilterLevel:
         level, jumped = report.parameter, report.jump_root
         assert not jumped
         assert level == pytest.approx(INTERIOR_LEVEL, rel=1e-9)
-        quartic = rank_filter(f)
+        quartic = f.quartic
         coeffs = f.project_rhs(u)
         # solver contract: |value - target| <= 1e-12 * ||u||^2 = 4e-12
         assert quartic.residual_sq(coeffs)(level) == pytest.approx(0.2, abs=4e-12)
@@ -223,7 +220,7 @@ class TestSolveFilterLevel:
             u_sq = float(u @ u)
             delta_sq = rng.uniform(0.02, 0.9) * (u_sq - floor_sq)
             level = solve(f, u, "mpmi", delta_abs=float(np.sqrt(delta_sq))).parameter
-            quartic = rank_filter(f)
+            quartic = f.quartic
             coeffs = f.project_rhs(u)
             target = delta_sq + floor_sq
             left = quartic.residual_sq(coeffs)(level)
@@ -239,7 +236,7 @@ class TestSolveFilterLevel:
         delta = np.sqrt(0.3 * (float(u @ u) - floor_sq))
         level = solve(f, u, "mpmi", delta_abs=float(delta)).parameter
         coeffs = f.project_rhs(u)
-        quartic = rank_filter(f)
+        quartic = f.quartic
         oracle_level, _ = oracles.grid_root(
             lambda g: oracles.mpmi_beta_sq(g, f.sigma, coeffs, f.rank),
             0.0, 1.05 * float(quartic.breaks[0]),
@@ -277,7 +274,7 @@ class TestConditionNumbers:
     def test_zero_level_gives_raw_cond(self, rng):
         a = oracles.rank_matrix(rng, 6, 6, 6)
         f = svd(a)
-        quartic = rank_filter(f)
+        quartic = f.quartic
         assert spectrum_cond(quartic.sigma * quartic.x_values(0.0)) == pytest.approx(
             spectrum_cond(f.sigma[: f.rank]), rel=1e-12
         )
@@ -285,7 +282,7 @@ class TestConditionNumbers:
     def test_breakpoint_structure(self, rng):
         sigma = np.array([4.0, 2.0, 1.0])
         f = svd(np.diag(sigma))
-        quartic = rank_filter(f)
+        quartic = f.quartic
         # level at the k=2 breakpoint: survivor block is {1, 2}, x_2 = 3/2
         level = float(quartic.breaks[1])
         x = quartic.x_values(level)
@@ -297,7 +294,7 @@ class TestConditionNumbers:
         for _ in range(10):
             sigma = np.sort(rng.uniform(0.2, 5.0, 7))[::-1].copy()
             f = svd(np.diag(sigma))
-            quartic = rank_filter(f)
+            quartic = f.quartic
             level = float(rng.uniform(0.0, quartic.breaks[0]))
             if level == 0.0:
                 continue
@@ -323,7 +320,7 @@ class TestConditionNumbers:
 
     def test_all_truncated_error(self):
         f = svd(np.diag([1.0]))
-        quartic = rank_filter(f)
+        quartic = f.quartic
         with pytest.raises(SolverError, match="undefined condition number"):
             spectrum_cond(quartic.sigma * quartic.x_values(2.0 * QUARTIC_MAX))
 
@@ -358,7 +355,7 @@ class TestMpmiSolve:
             floor_sq = f.project_rhs(u)[-1] ** 2
             delta = np.sqrt(rng.uniform(0.05, 0.9) * (float(u @ u) - floor_sq))
             report = solve(f, u, "mpmi", delta_abs=float(delta))
-            quartic = rank_filter(f)
+            quartic = f.quartic
             filtered = f.sigma[: f.rank] * quartic.x_values(report.parameter)
             ours = np.sqrt(np.sum(1.0 / filtered[filtered > 0.0] ** 2))
             raw = np.sqrt(np.sum(1.0 / f.sigma[: f.rank] ** 2))
@@ -381,7 +378,7 @@ class TestMpmiSolve:
         f = svd(np.diag([1.0]))
         report = solve(f, np.array([2.0]), "mpmi", delta_abs=1.0)
         assert report.jump_root
-        quartic = rank_filter(f)
+        quartic = f.quartic
         x = quartic.x_values(report.parameter)
         assert x[report.effective_rank - 1] == 1.5
         expected = (2.0 / 3.0) * f.sigma[0] * x[0] / f.sigma[report.effective_rank - 1]

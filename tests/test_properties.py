@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minpinv._kernels import QuarticFilter
 from minpinv.baselines import solve
 from minpinv.errors import SolverError
 from minpinv.linalg import svd
@@ -45,7 +44,7 @@ def test_mpmi_level_sandwiches_the_target(problem):
     factors, u, delta_abs, _ = problem
     report = solve(factors, u, "mpmi", delta_abs=delta_abs)
     coeffs = factors.project_rhs(u)
-    residual_sq = QuarticFilter(factors.sigma[: factors.rank]).residual_sq(coeffs)
+    residual_sq = factors.quartic.residual_sq(coeffs)
     target = delta_abs ** 2 + float(np.sum(coeffs[factors.rank:] ** 2))
     slack = 1e-12 * float(u @ u)
     level = report.parameter
@@ -64,7 +63,7 @@ def test_mpmi_jump_root_identity(problem):
     report = solve(factors, u, "mpmi", delta_abs=delta_abs)
     if not report.jump_root:
         return
-    x = QuarticFilter(factors.sigma[: factors.rank]).x_values(report.parameter)
+    x = factors.quartic.x_values(report.parameter)
     r = report.effective_rank
     assert x[r - 1] == 1.5
     expected = (2.0 / 3.0) * factors.sigma[0] * x[0] / factors.sigma[r - 1]

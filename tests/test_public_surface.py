@@ -30,8 +30,8 @@ def test_star_import_resolves(name):
         assert namespace[entry] is getattr(module, entry)
 
 
-def test_package_exports_at_most_25_names():
-    assert len(minpinv.__all__) <= 25
+def test_package_exports_at_most_24_names():
+    assert len(minpinv.__all__) <= 24
 
 
 def test_imports_without_scipy():
