@@ -10,17 +10,18 @@ root converges monotonically; four steps reach it to within a few ulps
 anywhere on the range, so the kernel takes exactly four, with no
 convergence test.  Endpoints are returned exactly.
 
-``QuarticFilter`` applies the kernel to one nonincreasing spectrum: the
-rank block of a factorization, set up once (``SvdFactors.quartic``), or
-mpm's positive block, set up on each solve.  The breakpoints (27/16)
-sigma_k**4 fall with k, so the indices the filter keeps at a level are a
-prefix, found by binary search; the quartic runs on that live prefix
-only, and the truncated indices enter through precomputed suffix sums.
-``filter_x`` is its only one-shot form, and ``poisson_kernel`` fills the
-model problem's matrix.
+``QuarticFilter`` applies the kernel to one nonincreasing spectrum, set
+up once: the rank block (``SvdFactors.quartic``) or mpm's positive block
+(``SvdFactors.positive_quartic``).  The breakpoints (27/16) sigma_k**4
+fall with k, so the indices the filter keeps at a level are a prefix,
+found by binary search; the quartic runs on that live prefix only, and
+the truncated indices enter through suffix sums, which also bound the
+values at the breakpoints.  ``filter_x`` is its only one-shot form, and
+``poisson_kernel`` fills the model problem's matrix.
 """
 
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,11 @@ NEWTON_STEPS = 4
 
 # There is one (numpy) flavour; the benchmark's environment record reads this.
 USING_NUMBA = False
+
+# shift(1/2)**2, the most a kept index adds per unit weight (at x = 3/2,
+# its breakpoint); past it the index adds its full weight.
+RESIDUAL_CAP = (1.0 - 1.0 / 1.5) ** 2     # (1 - 1/x)**2
+DISTANCE_CAP = 0.25                       # (x - 1)**2
 
 
 def quartic_excess(t):
@@ -131,6 +137,58 @@ class QuarticFilter:
         as a function of the level: (sigma_k (x_k - 1))**2 over the kept
         indices, sigma_k**2 over the truncated ones."""
         return self._sum_sq(self.sigma * self.sigma, _distance_shift)
+
+    @cached_property
+    def _plan(self):
+        """What ``_breaks`` needs of sigma alone: the points, each index's
+        point, the gather of hi, lo and cross, and sigma**-8 kept in range."""
+        points, segment = np.unique(self.breaks, return_inverse=True)
+        cross = (-self.s4).searchsorted(-3.0 * points, "right")
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scale = (points / self.s4[0]) ** 2
+            grade = (self.s4[0] / self.s4) ** 2
+        gather = np.concatenate([np.searchsorted(self._neg_breaks, -points, "right"),
+                                 np.searchsorted(self._neg_breaks, -points, "left"), cross])
+        return points, segment, gather, cross, scale, grade, scale >= np.finfo(float).tiny
+
+    def _breaks(self, weights, cap):
+        """Distinct breakpoints b ascending, their summed jumps (1 - cap)
+        weights_k and bounds (lower, upper) on ``_sum_sq(weights, shift)``
+        at each b, where shift(1/2)**2 = cap.  At b the indices from lo =
+        #(breaks > b) to hi - 1 = #(breaks >= b) - 1 are tied and add cap
+        weights_k; those below lo add at most weights_k min(t_k**2, cap),
+        as y_k <= t_k = b / sigma_k**4.  With W the weights' suffix sums
+        the value lies between (1 - cap) W[hi] + cap W[lo] and
+        (1 - cap) W[hi] + cap W[c] + b**2 sum_{k<c} weights_k / sigma_k**8
+        for any c <= lo, here cross = #(t_k <= 1/3).  Both widen by
+        16 n eps W[0], n = len(weights), for rounding; a bound out of float
+        range (b**2 subnormal, sigma**-8 overflowing) is infinite.
+        """
+        points, segment, gather, cross, scale, grade, known = self._plan
+        mix = [[1.0 - cap, cap, 0.0], [1.0 - cap, 0.0, cap]]
+        n = len(self.s4)
+        # bincount adds in index order, as ascending_breakpoints does
+        jumps = np.bincount(segment, weights=(1.0 - cap) * weights[:n])
+        tails = np.zeros(len(weights) + 1)
+        np.cumsum(weights[::-1], out=tails[-2::-1])
+        graded = np.zeros(n + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumsum(weights[:n] * grade, out=graded[1:])
+            bounds = np.dot(mix, tails[gather].reshape(3, -1))    # lower, upper
+            bounds[1] += scale * graded[cross]
+        margin = 16.0 * len(weights) * np.finfo(float).eps * tails[0]
+        bounds += [[-margin], [margin]]
+        bounds[:, ~(known & (bounds[1] < np.inf))] = [[-np.inf], [np.inf]]
+        return points, jumps, bounds
+
+    def residual_breaks(self, coeffs):
+        """Merged breakpoints, jumps and bounds of ``residual_sq(coeffs)``."""
+        return self._breaks(np.square(coeffs, dtype=np.float64), RESIDUAL_CAP)
+
+    @cached_property
+    def distance_breaks(self):
+        """The same for ``distance_sq()``, which depend on sigma alone."""
+        return self._breaks(self.sigma * self.sigma, DISTANCE_CAP)
 
 
 def filter_x(sigma, level):

@@ -109,7 +109,7 @@ def _mpm_spectrum(factors, coeffs, h):
     error budget ``h``, over the rank or the survivors if they reach past
     it (a tiny ``h``); the survivors are a prefix, as the breakpoints fall.
     """
-    level, jumped = solve_level(h, factors.sigma)
+    level, jumped = solve_level(h, factors.positive_quartic)
     s = filtered_spectrum(factors.sigma, level)
     return s[: max(factors.rank, np.count_nonzero(s))], level, jumped
 

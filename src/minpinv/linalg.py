@@ -85,7 +85,7 @@ class SvdFactors:
     reports and checks can still reach the complement of the range.
     ``rank_tolerance >= 0`` fixes the numerical rank: #{k : sigma_k > tol};
     ``svd(a, rank_tolerance=tol)`` sets it.  Construction checks all of
-    this once (InputError); ``rank`` and ``quartic`` are cached.
+    this once (InputError); ``rank`` and the quartic filters are cached.
     """
 
     u: np.ndarray
@@ -117,6 +117,11 @@ class SvdFactors:
         if self.rank < 1:
             raise InputError("quartic filter needs a numerical rank of at least 1")
         return QuarticFilter(self.sigma[: self.rank])
+
+    @cached_property
+    def positive_quartic(self):
+        """mpm's quartic filter, over every positive value (past the rank)."""
+        return QuarticFilter(self.sigma[: np.count_nonzero(self.sigma)])
 
     def project_rhs(self, u, width=None):
         """U_w^T u over the leading w = ``width`` columns (default: the

@@ -62,7 +62,7 @@ def ascending_breakpoints(breaks, jumps):
     return breaks[first], np.bincount(segment, weights=jumps)
 
 
-def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
+def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=None):
     """Generalized root of a nondecreasing left-continuous function.
 
     ``eval_fn`` is the (left-continuous) function of the level.
@@ -92,14 +92,33 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
     or three steps in a row failed to halve it.  The third is the step
     that halves the stale end's value, so that rule gets its chance
     first.  No derivative is needed.
+
+    With ``bounds = (lower, upper)`` the points come merged, as
+    :class:`~minpinv._kernels.QuarticFilter` gives them, with
+    lower[i] <= eval_fn(b_i) <= upper[i] for the floats ``eval_fn`` returns
+    (it widens its analytic bounds by 16 n eps sup f).  The search then
+    evaluates b_i only if the target lies in (lower[i] + J_i, upper[i] +
+    J_i]; elsewhere the bound decides as the value would, rounding being
+    monotone, so path, bracket and result are bit-identical.
     """
-    breaks, jumps = ascending_breakpoints(breaks, jumps)
+    if bounds is None:
+        breaks, jumps = ascending_breakpoints(breaks, jumps)
+        bounds = [-np.inf] * len(breaks), [np.inf] * len(breaks)
+    lower, upper = bounds
     left = {}
+
+    def left_at(k):
+        if k not in left:
+            left[k] = eval_fn(breaks[k])
+        return left[k]
+
     i, end = 0, len(breaks)
     while i < end:
         k = (i + end) // 2
-        left[k] = eval_fn(breaks[k])
-        if target <= left[k] + jumps[k]:
+        reach = upper[k] + jumps[k]
+        if lower[k] + jumps[k] < target <= reach:
+            reach = left_at(k) + jumps[k]
+        if target <= reach:
             end = k
         else:
             i = k + 1
@@ -109,12 +128,12 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
             f"no generalized root below the plateau for target {target}",
         )
     brk = float(breaks[i])
-    if target > left[i]:
+    if target > left_at(i):
         return brk, True
     # Interior root in (b_{i-1}, b_i]: the function is continuous there,
     # starting from the right limit at b_{i-1} (f(0) below the first).
     if i > 0:
-        a, ga = float(breaks[i - 1]), left[i - 1] + jumps[i - 1] - target
+        a, ga = float(breaks[i - 1]), left_at(i - 1) + jumps[i - 1] - target
     else:
         a, ga = 0.0, eval_fn(0.0) - target
     b, gb = brk, left[i] - target
@@ -156,25 +175,26 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs):
 def solve_level(matrix_error, sigma):
     """Filter level matching a matrix error budget: distance = error**2.
 
-    Returns ``(level, jumped)``.  Raises when the squared budget reaches
-    the total spectral energy (total annihilation).
+    ``sigma`` is the spectrum or its positive-block filter
+    (:attr:`~minpinv.linalg.SvdFactors.positive_quartic`).  Returns
+    ``(level, jumped)``.  Raises when the squared budget reaches the total
+    spectral energy (total annihilation).
     """
     if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
-    quartic = _kernels.QuarticFilter(check_spectrum(sigma))
-    positive = quartic.sigma[: quartic.positive]
-    total_energy = float(np.sum(positive * positive))
+    quartic = sigma
+    if not isinstance(quartic, _kernels.QuarticFilter):
+        quartic = _kernels.QuarticFilter(check_spectrum(sigma)[: np.count_nonzero(sigma)])
+    total_energy = float(np.sum(quartic.sigma * quartic.sigma))
     target = matrix_error * matrix_error
     if target >= total_energy:
         raise SolverError(
             "error level exceeds matrix energy",
             f"error^2 {target} >= total {total_energy}",
         )
-    # (3/2 rho - rho)^2 = rho^2/4 flips to rho^2 past the breakpoint
-    return solve_generalized_root(
-        quartic.distance_sq(), quartic.breaks[: quartic.positive],
-        0.75 * (positive * positive), target, tol_abs=1e-12 * target,
-    )
+    breaks, jumps, bounds = quartic.distance_breaks
+    return solve_generalized_root(quartic.distance_sq(), breaks, jumps, target,
+                                  tol_abs=1e-12 * target, bounds=bounds)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, SolverError
 from .linalg import spectrum_cond
-from .mpm import ascending_breakpoints, filtered_spectrum, solve_generalized_root
+from .mpm import filtered_spectrum, solve_generalized_root
 
 __all__ = [
     "DiscrepancyCurve",
@@ -35,10 +35,6 @@ __all__ = [
     "discrepancy_target",
     "mpmi_spectrum",
 ]
-
-# theta = 1/x drops from 2/3 to 0 at a breakpoint, so the squared residual
-# of index k jumps there by (1 - (1 - 2/3)^2) c_k^2.
-JUMP = 1.0 - (1.0 - 1.0 / 1.5) ** 2
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ def discrepancy_curve(factors, u, num=257):
     coeffs = factors.project_rhs(u, rank)
     floor_sq = float(np.sum(coeffs[rank:] ** 2))
     plateau_sq = floor_sq + float(np.sum(coeffs[:rank] ** 2))
-    breaks, jumps = ascending_breakpoints(quartic.breaks, JUMP * coeffs[:rank] ** 2)
+    breaks, jumps, _ = quartic.residual_breaks(coeffs)
     top = breaks[-1]
     levels = np.concatenate([[0.0], np.geomspace(breaks[0] * 1e-3, top * 1.05, num - 1)])
     residual_sq = quartic.residual_sq(coeffs)
@@ -173,8 +169,9 @@ def mpmi_spectrum(factors, coeffs, delta_abs):
     quartic = factors.quartic
     rank = factors.rank
     target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
+    breaks, jumps, bounds = quartic.residual_breaks(coeffs)
     level, jumped = solve_generalized_root(
-        quartic.residual_sq(coeffs), quartic.breaks, JUMP * coeffs[:rank] ** 2,
-        target, tol_abs=1e-12 * u_norm_sq,
+        quartic.residual_sq(coeffs), breaks, jumps, target,
+        tol_abs=1e-12 * u_norm_sq, bounds=bounds,
     )
     return filtered_spectrum(quartic.sigma, level), level, jumped

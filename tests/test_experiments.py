@@ -22,7 +22,7 @@ from minpinv.experiments import (
     run_experiment,
     table_csv,
 )
-from minpinv.linalg import spectrum_cond, svd
+from minpinv.linalg import spectrum_cond
 
 
 class TestBuildPoisson:

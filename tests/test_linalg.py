@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from minpinv.baselines import METHODS, solve
-from minpinv.errors import InputError, SolverError
+from minpinv.errors import InputError
 from minpinv.experiments import build_poisson, perturb_rhs
 from minpinv.linalg import (
     EPS,
@@ -127,6 +127,15 @@ def test_quartic_is_the_rank_block_filter_set_up_once():
     assert f.rank == 2
     assert f.quartic is f.quartic
     np.testing.assert_array_equal(f.quartic.sigma, f.sigma[:2])
+
+
+def test_positive_quartic_is_mpms_filter_set_up_once():
+    # mpm filters every positive value, past the rank too, with its bounds
+    f = svd(np.diag([2.0, 1.0, 1e-20, 0.0]))
+    assert f.rank == 2
+    assert f.positive_quartic is f.positive_quartic
+    np.testing.assert_array_equal(f.positive_quartic.sigma, f.sigma[:3])
+    assert f.positive_quartic.distance_breaks is f.positive_quartic.distance_breaks
 
 
 def assert_same_report(report, ref, rtol=1e-10):

@@ -4,7 +4,7 @@ from bisect import bisect_left
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minpinv.mpm
@@ -18,21 +18,22 @@ from minpinv.linalg import frobenius_norm, svd
 from minpinv.mpm import (
     QUARTIC_MAX,
     ascending_breakpoints,
-    filtered_spectrum,
     minimal_pseudoinverse,
     solve_generalized_root,
     solve_level,
     spectrum_distance_sq,
 )
 
+EPS = float(np.finfo(np.float64).eps)
+
 # frozen from the bisection oracle (tests/oracles.py)
 ROOT_AT_ONE = 1.380277569097614
 
 # Median root-function evaluations per solve on the 199x201 desk problem,
-# 6 noise levels x seeds 0-3, recorded with the binary bracket search and
-# Illinois steps (the linear breakpoint scan they replace made about 210
-# and 197).
-DESK_EVALS = {"mpmi": 13, "mpm": 10}
+# 6 noise levels x seeds 0-3, recorded with the bound-pruned binary
+# bracket search and Illinois steps.  The same search without bounds made
+# 13 and 10, the linear breakpoint scan before it about 210 and 197.
+DESK_EVALS = {"mpmi": 8.5, "mpm": 4}
 
 
 def filter_factor(rho, level):
@@ -315,7 +316,48 @@ class TestGeneralizedRoot:
                 u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
                 solve(desk_factors, u, method, **{bound: delta * norm})
         assert len(counts) == 24
-        assert np.median(counts) <= 2 * DESK_EVALS[method]
+        # a quarter of slack: the search without bounds fails this
+        assert np.median(counts) <= 1.25 * DESK_EVALS[method]
+
+    def test_warm_factors_evaluate_the_same_levels(self, desk_problem, monkeypatch):
+        # the factors cache state that depends on sigma alone (filters,
+        # merge plans, mpm's bounds) on first use; a solve must evaluate
+        # the same levels, and run the quartic as often, whether or not
+        # earlier solves built it
+        seen = []
+        quartic_excess = _kernels.quartic_excess
+
+        def recording(eval_fn, *args, **kwargs):
+            def recorded(level):
+                seen.append(float(level).hex())
+                return eval_fn(level)
+
+            return solve_generalized_root(recorded, *args, **kwargs)
+
+        def counted_excess(t):
+            seen.append("quartic")
+            return quartic_excess(t)
+
+        monkeypatch.setattr(_kernels, "quartic_excess", counted_excess)
+        monkeypatch.setattr(minpinv.mpm, "solve_generalized_root", recording)
+        monkeypatch.setattr(minpinv.mpmi, "solve_generalized_root", recording)
+        norm = float(np.linalg.norm(desk_problem.exact_rhs))
+        deltas = (0.005, 0.01, 0.05, 0.1, 0.2, 0.3)
+
+        def levels(factors, method, delta, seed):
+            seen.clear()
+            u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
+            bound = {"mpmi": "delta_abs", "mpm": "h"}[method]
+            solve(factors, u, method, **{bound: delta * norm})
+            return list(seen)
+
+        warm = svd(desk_problem.matrix)
+        for i in range(20):
+            levels(warm, ("mpmi", "mpm")[i % 2], deltas[i // 2 % 6], 100 + i)
+        for method in ("mpmi", "mpm"):
+            fresh = levels(svd(desk_problem.matrix), method, 0.05, 7)
+            assert len(fresh) > 0
+            assert levels(warm, method, 0.05, 7) == fresh
 
     def test_undeclared_step_is_an_error(self):
         # f steps by 1 at 0.25, which ``breaks`` does not declare: no level
@@ -379,6 +421,93 @@ class TestGeneralizedRoot:
         level, jumped = solve_generalized_root(lambda lv: lv, [1.0], [1.0], 1e-300, 0.0)
         assert not jumped
         assert abs(level - 1e-300) <= np.spacing(1e-300)
+
+
+@st.composite
+def quartic_functions(draw):
+    """A quartic filter function with its root-finder input: the squared
+    residual of random coefficients or the spectral distance.
+
+    The spectrum is graded, sigma_k = 10**(-g p_k) at random p_k in
+    [0, 1], with runs of tied entries; the distance's spectrum may end in
+    zeros (a zero breakpoint).  Some coefficients are zero (rows out of
+    reach) and one sits past the spectrum (the floor).  Returns
+    (f, merged, per_index, total): ``merged`` is (breaks, jumps, bounds)
+    from the filter, ``per_index`` the same breakpoints and jumps per
+    index for the search without bounds, ``total`` = sup f, the sum of the
+    n weights; the bounds' margin is 16 n eps sup f.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(min_value=1, max_value=10))
+    grade = draw(st.floats(min_value=0.0, max_value=12.0))
+    ties = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    sigma = np.repeat(10.0 ** (-grade * np.sort(rng.uniform(0.0, 1.0, n))), ties)
+    sigma *= 10.0 ** draw(st.integers(min_value=-20, max_value=20))
+    if draw(st.booleans()):
+        coeffs = rng.standard_normal(len(sigma) + 1)
+        coeffs[rng.uniform(size=len(coeffs)) < 0.25] = 0.0
+        assume(np.any(coeffs[:-1]))
+        quartic = _kernels.QuarticFilter(sigma)
+        f, merged = quartic.residual_sq(coeffs), quartic.residual_breaks(coeffs)
+        weights, cap = coeffs * coeffs, _kernels.RESIDUAL_CAP
+    else:
+        sigma = np.append(sigma, np.zeros(draw(st.integers(min_value=0, max_value=2))))
+        quartic = _kernels.QuarticFilter(sigma)
+        f, merged = quartic.distance_sq(), quartic.distance_breaks
+        weights, cap = sigma * sigma, _kernels.DISTANCE_CAP
+    per_index = quartic.breaks, (1.0 - cap) * weights[: len(sigma)]
+    return f, merged, per_index, float(np.sum(weights))
+
+
+class TestBoundedSearch:
+    """The bounds that let the root finder skip bracket-search evaluations."""
+
+    @given(quartic_functions())
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_hold_at_every_merged_breakpoint(self, case):
+        f, (breaks, jumps, (lower, upper)), per_index, _ = case
+        assert not np.any(np.isnan(lower)) and not np.any(np.isnan(upper))
+        ref_breaks, ref_jumps = ascending_breakpoints(*per_index)
+        assert breaks.tolist() == ref_breaks.tolist()
+        assert jumps.tolist() == ref_jumps.tolist()
+        for brk, low, high in zip(breaks.tolist(), lower.tolist(), upper.tolist()):
+            assert low <= f(brk) <= high
+
+    @given(quartic_functions(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_the_search_without_bounds(self, case, data):
+        f, (breaks, jumps, bounds), per_index, total = case
+        margin = 16.0 * (len(per_index[0]) + 1) * EPS * total
+        j = data.draw(st.integers(min_value=0, max_value=len(breaks) - 1))
+        left = f(float(breaks[j]))
+        edge = data.draw(st.sampled_from([left, left + float(jumps[j])]))
+        target = data.draw(st.one_of(
+            st.just(edge),
+            st.sampled_from([np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]),
+            st.floats(min_value=-2.0, max_value=2.0).map(lambda r: edge + r * margin),
+            st.floats(min_value=0.0, max_value=1.0).map(lambda r: r * f(float(breaks[-1]))),
+        ))
+        tol_abs = data.draw(st.sampled_from([0.0, 1e-12])) * total
+
+        def outcome(*args, **kwargs):
+            levels = []
+
+            def recorded(level):
+                levels.append(float(level))
+                return f(level)
+
+            try:
+                level, jumped = solve_generalized_root(recorded, *args, target, tol_abs, **kwargs)
+            except SolverError as exc:
+                return exc.name, levels
+            return (level.hex(), jumped), levels
+
+        bounded, bounded_levels = outcome(breaks, jumps, bounds=bounds)
+        plain, plain_levels = outcome(*per_index)
+        assert bounded == plain
+        # the bounded search evaluates a subset of the same levels
+        assert set(bounded_levels) <= set(plain_levels)
 
 
 class TestMinimalPseudoinverse:

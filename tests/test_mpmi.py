@@ -7,7 +7,7 @@ import oracles
 from minpinv._kernels import QuarticFilter
 from minpinv.baselines import solve
 from minpinv.errors import InputError, SolverError
-from minpinv.linalg import SvdFactors, frobenius_norm, spectrum_cond, svd
+from minpinv.linalg import SvdFactors, spectrum_cond, svd
 from minpinv.mpm import QUARTIC_MAX
 from minpinv.mpmi import discrepancy_curve
 
