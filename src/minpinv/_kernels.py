@@ -167,7 +167,7 @@ class QuarticFilter:
         points, segment, gather, cross, scale, grade, known = self._plan
         mix = [[1.0 - cap, cap, 0.0], [1.0 - cap, 0.0, cap]]
         n = len(self.s4)
-        # bincount adds in index order, as ascending_breakpoints does
+        # bincount adds a tie's jumps in index order
         jumps = np.bincount(segment, weights=(1.0 - cap) * weights[:n])
         tails = np.zeros(len(weights) + 1)
         np.cumsum(weights[::-1], out=tails[-2::-1])

@@ -83,7 +83,7 @@ def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
 
     The residual is continuous and increasing in alpha, so
     :func:`~minpinv.mpm.solve_generalized_root` finds it with zero jumps,
-    bracketing it between the sigma_k^2 and 1e6 sigma_1^2.  Raises
+    bracketing it between the ascending sigma_k^2 and 1e6 sigma_1^2.  Raises
     "bracket exhausted" when the target lies above the upper end or the
     bracket closes on adjacent floats short of the tolerance.
     """
@@ -96,7 +96,7 @@ def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
         def residual_sq(level):
             return head_residual_sq(sigma, values(sigma, level), head_sq) + floor_sq
 
-        breaks = np.append(sigma ** 2, 1e6 * float(sigma[0]) ** 2)
+        breaks = np.append(sigma[::-1] ** 2, 1e6 * float(sigma[0]) ** 2)
         alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
                                           target, 1e-10 * u_norm_sq)
     if not 0.0 < alpha < np.inf:
@@ -109,7 +109,7 @@ def _mpm_spectrum(factors, coeffs, h):
     error budget ``h``, over the rank or the survivors if they reach past
     it (a tiny ``h``); the survivors are a prefix, as the breakpoints fall.
     """
-    level, jumped = solve_level(h, factors.positive_quartic)
+    level, jumped = solve_level(h, factors)
     s = filtered_spectrum(factors.sigma, level)
     return s[: max(factors.rank, np.count_nonzero(s))], level, jumped
 

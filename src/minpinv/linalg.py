@@ -67,8 +67,6 @@ def frobenius_norm(a):
 
 def default_rank_tolerance(sigma, shape):
     """sigma_1 * max(m, n) * machine epsilon, the standard rank cutoff."""
-    if len(sigma) == 0:
-        return 0.0
     return float(sigma[0]) * max(shape) * EPS
 
 

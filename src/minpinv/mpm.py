@@ -30,7 +30,6 @@ __all__ = [
     "MpmResult",
     "minimal_pseudoinverse",
     "solve_generalized_root",
-    "ascending_breakpoints",
 ]
 
 
@@ -42,38 +41,17 @@ def spectrum_distance_sq(level, sigma):
     return _kernels.QuarticFilter(sigma).distance_sq()(float(level))
 
 
-def ascending_breakpoints(breaks, jumps):
-    """Distinct breakpoints in ascending order with their summed jumps.
-
-    ``breaks[k]`` and ``jumps[k]`` belong to index k; indices that share a
-    breakpoint add their jumps, in ascending index order among equals
-    (``np.bincount`` adds its weights in input order).  Returns two arrays.
-    """
-    # array methods and ``out=`` skip numpy's function dispatch: this runs
-    # once per solve, on arrays of a few hundred entries
-    breaks = np.asarray(breaks, dtype=np.float64)
-    order = breaks.argsort(kind="stable")
-    breaks = breaks[order]
-    first = np.empty(len(breaks), dtype=bool)
-    first[:1] = True
-    np.not_equal(breaks[1:], breaks[:-1], out=first[1:])
-    segment = first.cumsum() - 1
-    jumps = np.asarray(jumps, dtype=np.float64)[order]
-    return breaks[first], np.bincount(segment, weights=jumps)
-
-
 def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=None):
     """Generalized root of a nondecreasing left-continuous function.
 
-    ``eval_fn`` is the (left-continuous) function of the level.
-    ``breaks[k]`` and ``jumps[k]`` are the discontinuity point of index k
-    and the height it jumps by there, in any order and with ties; they are
-    merged here by :func:`ascending_breakpoints`, which adds the jumps of
-    indices that share a point.  Returns ``(level, jumped)`` where either
-    the interior root satisfies |f(level) - target| <= tol_abs, or
-    ``level`` is a breakpoint whose left/right values sandwich the target.
-    ``level`` is a Python float.  The caller must ensure
-    f(0) < target < sup f.
+    ``eval_fn`` is the (left-continuous) function of the level, ``breaks``
+    its discontinuity points in ascending order and ``jumps`` the heights
+    it jumps by there.  A repeated point (tied singular values) carries its
+    jump on its last entry and 0 on the others; other input raises
+    InputError.  Returns ``(level, jumped)`` where either the interior root
+    satisfies |f(level) - target| <= tol_abs, or ``level`` is a breakpoint
+    whose left/right values sandwich the target.  ``level`` is a Python
+    float.  The caller must ensure f(0) < target < sup f.
 
     When the bracket shrinks to two adjacent floats, no level meets the
     tolerance: f steps by more than ``tol_abs`` within one ulp, which a
@@ -83,26 +61,30 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=No
     positive tolerance f has a step that ``breaks`` does not declare, and
     the finder raises "bracket exhausted".
 
-    Over the merged points b_1 < b_2 < ... with summed jumps J_i, the
-    right limits f(b_i) + J_i never decrease, so the bracket (the first
-    breakpoint whose right limit reaches the target) is found by binary
-    search.  Inside it the function is continuous and the root
-    is found by Illinois regula falsi (Dowell & Jarratt, BIT 1971), which
-    bisects whenever the secant point is not strictly inside the bracket
-    or three steps in a row failed to halve it.  The third is the step
-    that halves the stale end's value, so that rule gets its chance
-    first.  No derivative is needed.
+    Over the points b_1 <= b_2 <= ... with jumps J_i, the right limits
+    f(b_i) + J_i never decrease, so the bracket (the first breakpoint
+    whose right limit reaches the target) is found by binary search.  A
+    target in its jump makes b_i the root.  Else target <= f(b_i), which
+    the entry before a repeated b_i would reach, so b_{i-1} < b_i, and on
+    (b_{i-1}, b_i] the function is continuous: the root is found by
+    Illinois regula falsi (Dowell & Jarratt, BIT 1971), which bisects
+    whenever the secant point is not strictly inside the bracket or three
+    steps in a row failed to halve it.  The third is the step that halves
+    the stale end's value, so that rule gets its chance first.  No
+    derivative is needed.
 
-    With ``bounds = (lower, upper)`` the points come merged, as
-    :class:`~minpinv._kernels.QuarticFilter` gives them, with
-    lower[i] <= eval_fn(b_i) <= upper[i] for the floats ``eval_fn`` returns
-    (it widens its analytic bounds by 16 n eps sup f).  The search then
+    ``bounds = (lower, upper)``, as :class:`~minpinv._kernels.QuarticFilter`
+    gives them with its merged points, hold lower[i] <= eval_fn(b_i) <=
+    upper[i] for the floats ``eval_fn`` returns (it widens its analytic
+    bounds by 16 n eps sup f); None means infinite bounds.  The search
     evaluates b_i only if the target lies in (lower[i] + J_i, upper[i] +
     J_i]; elsewhere the bound decides as the value would, rounding being
     monotone, so path, bracket and result are bit-identical.
     """
+    rise = np.diff(breaks)
+    if not np.all((rise > 0.0) | (rise == 0.0) & (np.asarray(jumps)[:-1] == 0.0)):
+        raise InputError("breakpoints must ascend, a repeated one with its jump last")
     if bounds is None:
-        breaks, jumps = ascending_breakpoints(breaks, jumps)
         bounds = [-np.inf] * len(breaks), [np.inf] * len(breaks)
     lower, upper = bounds
     left = {}
@@ -172,19 +154,16 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=No
         slow = 0 if bisect or b - a <= 0.5 * width else slow + 1
 
 
-def solve_level(matrix_error, sigma):
-    """Filter level matching a matrix error budget: distance = error**2.
-
-    ``sigma`` is the spectrum or its positive-block filter
-    (:attr:`~minpinv.linalg.SvdFactors.positive_quartic`).  Returns
-    ``(level, jumped)``.  Raises when the squared budget reaches the total
-    spectral energy (total annihilation).
+def solve_level(matrix_error, factors):
+    """Filter level matching a matrix error budget: distance = error**2,
+    over mpm's filter ``factors.positive_quartic``
+    (:class:`~minpinv.linalg.SvdFactors`).  Returns ``(level, jumped)``.
+    Raises when the squared budget reaches the total spectral energy
+    (total annihilation).
     """
     if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
-    quartic = sigma
-    if not isinstance(quartic, _kernels.QuarticFilter):
-        quartic = _kernels.QuarticFilter(check_spectrum(sigma)[: np.count_nonzero(sigma)])
+    quartic = factors.positive_quartic
     total_energy = float(np.sum(quartic.sigma * quartic.sigma))
     target = matrix_error * matrix_error
     if target >= total_energy:
@@ -226,7 +205,7 @@ def minimal_pseudoinverse(a, matrix_error):
     bound (modulo rounding in the factorization).
     """
     factors = svd(a)
-    level, jumped = solve_level(matrix_error, factors.sigma)
+    level, jumped = solve_level(matrix_error, factors)
     filtered = filtered_spectrum(factors.sigma, level)
     return MpmResult(
         pinv=assemble_filtered_pinv(factors, filtered),

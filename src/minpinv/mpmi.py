@@ -18,6 +18,7 @@ over sigma_1 / sigma_r is 1.5 / x_1, which lies in [1, 3/2): at most,
 not at least, one and a half fold.
 """
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,8 +54,8 @@ class DiscrepancyCurve:
 def discrepancy_curve(factors, u, num=257):
     """Sample the squared-residual curve for plotting/reporting at ``num``
     levels: level 0, then a geometric grid up past the last breakpoint."""
-    if num < 1:
-        raise InputError(f"a curve needs at least one level, got {num}")
+    if isinstance(num, bool) or not isinstance(num, numbers.Integral) or num < 1:
+        raise InputError(f"a curve needs an integer count of at least one level, got {num!r}")
     quartic = factors.quartic
     rank = factors.rank
     coeffs = factors.project_rhs(u, rank)

@@ -231,6 +231,14 @@ def gesvd_factors(a):
     return SvdFactors(u, sigma, vt.T, default_rank_tolerance(sigma, a.shape))
 
 
+def diag_factors(sigma):
+    """The exact SvdFactors of diag(sigma): identity U and V and rank
+    tolerance 0, so every positive value is in the rank."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    eye = np.eye(len(sigma))
+    return SvdFactors(eye, sigma, eye, 0.0)
+
+
 def tsvd_rank_scan(tails, rank, target):
     """First k in 0..rank with tails[k] <= target, clamped to at least 1;
     ``rank`` when none fits (the discrepancy rank, as a loop)."""

@@ -8,6 +8,8 @@ merging.
 import numpy as np
 import pytest
 
+import minpinv.baselines
+import oracles
 from minpinv.baselines import solve
 from minpinv.errors import SolverError
 from minpinv.linalg import svd
@@ -65,7 +67,7 @@ class TestRepeatedSingularValues:
         # left value at the top break: both doubles inflated to 3,
         # (3-2)^2 * 2, plus the annihilated third: +1  =>  3
         # right limit: 4 + 4 + 1 = 9; a budget^2 of 5 lands in the jump
-        level, jumped = solve_level(np.sqrt(5.0), sigma)
+        level, jumped = solve_level(np.sqrt(5.0), oracles.diag_factors(sigma))
         assert jumped
         assert level == QUARTIC_MAX * 2.0**4  # 27 = (27/16)·2⁴; duplicates share one breakpoint
 
@@ -89,6 +91,29 @@ class TestRepeatedSingularValues:
         np.testing.assert_allclose(
             report.solution, np.array([2.0, 1.0]) / 1.5, atol=1e-12
         )
+
+    @pytest.mark.parametrize("method", ["tr", "morozov"])
+    def test_alpha_grid_keeps_ties(self, method, rng, monkeypatch):
+        # sigma^2 = 4 sits three times in the ascending alpha grid, with zero
+        # jumps; alpha must have the bits of the search over the merged grid
+        factors = oracles.diag_factors([3.0, 2.0, 2.0, 2.0, 1.0, 0.5])
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return solve_generalized_root(*args)
+
+        monkeypatch.setattr(minpinv.baselines, "solve_generalized_root", recording)
+        for _ in range(100):
+            u = rng.standard_normal(6)
+            calls.clear()
+            delta_abs = rng.uniform(0.05, 0.95) * float(np.linalg.norm(u))
+            report = solve(factors, u, method, delta_abs=delta_abs)
+            (eval_fn, breaks, jumps, target, tol_abs), = calls
+            assert breaks.tolist().count(4.0) == 3
+            merged = oracles.ascending_breakpoints_loop(breaks, jumps)
+            alpha, _ = solve_generalized_root(eval_fn, *merged, target, tol_abs)
+            assert report.parameter.hex() == alpha.hex()
 
 
 class TestDegenerateShapes:

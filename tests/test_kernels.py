@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from minpinv import _kernels
 from minpinv.experiments import perturb_rhs
-from minpinv.mpm import ascending_breakpoints, spectrum_distance_sq
+from minpinv.mpm import spectrum_distance_sq
 from oracles import quartic_bisect
 
 QUARTIC_TOP = 27.0 / 16.0
@@ -106,8 +106,7 @@ class TestQuarticFilterOnTheDeskSpectrum:
         sigma = desk_factors.sigma[: desk_factors.rank]
         u = perturb_rhs(desk_problem.exact_rhs, 0.05, 0)
         coeffs = desk_factors.project_rhs(u)
-        breaks = ascending_breakpoints(
-            _kernels.QuarticFilter(sigma).breaks, np.zeros(len(sigma)))[0]
+        breaks = np.unique(_kernels.QuarticFilter(sigma).breaks)
         levels = np.concatenate([breaks, 0.5 * (breaks[1:] + breaks[:-1])])
         return sigma, coeffs, breaks, levels
 

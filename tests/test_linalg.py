@@ -254,7 +254,7 @@ class TestProjectRhs:
             report = solve(f, u, "mpm", h=h)
             assert report.effective_rank > f.rank
             # reference from the full U^T u and the whole positive spectrum
-            level, _ = solve_level(h, f.sigma)
+            level, _ = solve_level(h, f)
             s = filtered_spectrum(positive, level)
             full = f.u.T @ u
             head = full[: len(s)]

@@ -17,7 +17,6 @@ from minpinv.experiments import perturb_rhs
 from minpinv.linalg import frobenius_norm, svd
 from minpinv.mpm import (
     QUARTIC_MAX,
-    ascending_breakpoints,
     minimal_pseudoinverse,
     solve_generalized_root,
     solve_level,
@@ -137,20 +136,20 @@ class TestSpectrumDistance:
 class TestSolveLevel:
     def test_interior_root_inverts_distance(self):
         target_sq = spectrum_distance_sq(1.0, np.array([1.0]))
-        level, jumped = solve_level(np.sqrt(target_sq), np.array([1.0]))
+        level, jumped = solve_level(np.sqrt(target_sq), oracles.diag_factors([1.0]))
         assert not jumped
         assert level == pytest.approx(1.0, rel=1e-9)
 
     def test_jump_crossing(self):
         # distance^2 jumps from 0.25 to 1 at the single breakpoint
-        level, jumped = solve_level(np.sqrt(0.5), np.array([1.0]))
+        level, jumped = solve_level(np.sqrt(0.5), oracles.diag_factors([1.0]))
         assert jumped
         assert level == QUARTIC_MAX
 
     def test_small_budget_stays_in_first_interval(self, rng):
         sigma = np.array([2.0, 1.0])
         for err_sq in (1e-6, 1e-8, 1e-10):
-            level, jumped = solve_level(np.sqrt(err_sq), sigma)
+            level, jumped = solve_level(np.sqrt(err_sq), oracles.diag_factors(sigma))
             assert not jumped
             assert level < QUARTIC_MAX  # below the smaller breakpoint
             achieved = spectrum_distance_sq(level, sigma)
@@ -159,7 +158,7 @@ class TestSolveLevel:
     def test_matches_grid_oracle(self, rng):
         sigma = np.sort(rng.uniform(0.5, 2.0, 5))[::-1].copy()
         target = 0.3 * float(np.sum(sigma ** 2))
-        level, jumped = solve_level(np.sqrt(target), sigma)
+        level, jumped = solve_level(np.sqrt(target), oracles.diag_factors(sigma))
         top = QUARTIC_MAX * sigma[0] ** 4
         oracle_level, _ = oracles.grid_root(
             lambda g: oracles.mpm_beta(g, sigma), 0.0, 1.05 * top, target
@@ -176,13 +175,13 @@ class TestSolveLevel:
     def test_budget_exceeding_energy_rejected(self):
         sigma = np.array([2.0, 1.0])
         with pytest.raises(SolverError, match="matrix energy"):
-            solve_level(np.sqrt(5.0) + 1e-9, sigma)
+            solve_level(np.sqrt(5.0) + 1e-9, oracles.diag_factors(sigma))
         with pytest.raises(SolverError, match="matrix energy"):
-            solve_level(np.sqrt(5.0), sigma)  # equality also rejected
+            solve_level(np.sqrt(5.0), oracles.diag_factors(sigma))  # equality also rejected
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
-            solve_level(0.0, np.array([1.0]))
+            solve_level(0.0, oracles.diag_factors([1.0]))
 
 
 @st.composite
@@ -226,31 +225,21 @@ def staircases(draw):
 @st.composite
 def per_index_staircases(draw):
     """A staircase from :func:`staircases` and the same breakpoints given
-    per index: each jump split over one to three tied entries, shuffled.
-    The parts are integers, so every merged sum is exact in any order."""
+    per index, ascending: each point repeated one to three times, its jump
+    on the last entry or split in integer parts over the entries (a part
+    before the last is input the finder rejects).  Integer parts make
+    every merged sum exact."""
     case = draw(staircases())
     _, breaks, jumps, _, _ = case
-    entries = []
+    index_breaks, index_jumps = [], []
     for brk, jump in zip(breaks, jumps):
         cuts = sorted(draw(st.lists(st.integers(0, int(jump)), max_size=2)))
-        entries += [(brk, float(part)) for part in np.diff([0, *cuts, int(jump)])]
-    entries = draw(st.permutations(entries))
-    return case, [e[0] for e in entries], [e[1] for e in entries]
-
-
-class TestAscendingBreakpoints:
-    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -52, 3.0, 27.0]),
-                              st.floats(min_value=0.0, max_value=1e6)),
-                    min_size=1, max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_loop_merge(self, pairs):
-        # few distinct values, so runs of equal breakpoints are long and the
-        # summation order of their jumps shows in the last bits
-        breaks, jumps = (np.array(col) for col in zip(*pairs))
-        merged_breaks, merged_jumps = ascending_breakpoints(breaks, jumps)
-        ref_breaks, ref_jumps = oracles.ascending_breakpoints_loop(breaks, jumps)
-        assert merged_breaks.tolist() == ref_breaks
-        assert merged_jumps.tolist() == ref_jumps
+        parts = np.diff([0, *cuts, int(jump)]).tolist()
+        if draw(st.booleans()):
+            parts = [0] * (len(parts) - 1) + [int(jump)]
+        index_breaks += [brk] * len(parts)
+        index_jumps += [float(part) for part in parts]
+    return case, index_breaks, index_jumps
 
 
 class TestGeneralizedRoot:
@@ -279,8 +268,11 @@ class TestGeneralizedRoot:
 
     @given(per_index_staircases())
     @settings(max_examples=200, deadline=None)
-    def test_per_index_breaks_in_any_order(self, case):
-        (f, breaks, jumps, target, tol_abs), index_breaks, index_jumps = case
+    def test_per_index_breaks_in_ascending_order(self, case):
+        # a repeated point that carries its jump on its last entry gives the
+        # outcome of the merged points; any other repetition, and any
+        # descent, is an InputError
+        (f, _, _, target, tol_abs), index_breaks, index_jumps = case
 
         def outcome(b, j):
             try:
@@ -289,7 +281,17 @@ class TestGeneralizedRoot:
                 return exc.name
             return level.hex(), jumped
 
-        assert outcome(index_breaks, index_jumps) == outcome(breaks, jumps)
+        if any(b == after and j != 0.0 for b, after, j
+               in zip(index_breaks, index_breaks[1:], index_jumps)):
+            with pytest.raises(InputError, match="ascend"):
+                solve_generalized_root(f, index_breaks, index_jumps, target, tol_abs)
+        else:
+            merged = oracles.ascending_breakpoints_loop(index_breaks, index_jumps)
+            assert outcome(index_breaks, index_jumps) == outcome(*merged)
+        if len(set(index_breaks)) > 1:
+            with pytest.raises(InputError, match="ascend"):
+                solve_generalized_root(f, index_breaks[::-1], index_jumps[::-1],
+                                       target, tol_abs)
 
     @pytest.mark.parametrize("method, bound", [("mpmi", "delta_abs"), ("mpm", "h")])
     def test_evaluations_per_desk_solve(self, method, bound, desk_problem,
@@ -381,7 +383,7 @@ class TestGeneralizedRoot:
         norm = float(np.linalg.norm(desk_problem.exact_rhs))
         for delta in (0.005, 0.01, 0.05, 0.1, 0.2, 0.3):
             h = delta * norm
-            level, jumped = solve_level(h, sigma)
+            level, jumped = solve_level(h, desk_factors)
             if not jumped:
                 assert abs(spectrum_distance_sq(level, sigma) - h * h) <= 1e-12 * h * h
             for seed in range(20):
@@ -409,7 +411,7 @@ class TestGeneralizedRoot:
         sigma = desk_factors.sigma
         energy = float(np.sum(sigma * sigma))
         for share in (1e-9, 1e-4, 0.01, 0.1, 0.5):
-            level, _ = solve_level(np.sqrt(share * energy), sigma)
+            level, _ = solve_level(np.sqrt(share * energy), desk_factors)
             assert level in seen
         for level, value in seen.items():
             assert spectrum_distance_sq(level, sigma) == value
@@ -434,7 +436,7 @@ def quartic_functions(draw):
     reach) and one sits past the spectrum (the floor).  Returns
     (f, merged, per_index, total): ``merged`` is (breaks, jumps, bounds)
     from the filter, ``per_index`` the same breakpoints and jumps per
-    index for the search without bounds, ``total`` = sup f, the sum of the
+    index, for the oracle merge, ``total`` = sup f, the sum of the
     n weights; the bounds' margin is 16 n eps sup f.
     """
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -468,9 +470,9 @@ class TestBoundedSearch:
     def test_bounds_hold_at_every_merged_breakpoint(self, case):
         f, (breaks, jumps, (lower, upper)), per_index, _ = case
         assert not np.any(np.isnan(lower)) and not np.any(np.isnan(upper))
-        ref_breaks, ref_jumps = ascending_breakpoints(*per_index)
-        assert breaks.tolist() == ref_breaks.tolist()
-        assert jumps.tolist() == ref_jumps.tolist()
+        ref_breaks, ref_jumps = oracles.ascending_breakpoints_loop(*per_index)
+        assert breaks.tolist() == ref_breaks
+        assert jumps.tolist() == ref_jumps
         for brk, low, high in zip(breaks.tolist(), lower.tolist(), upper.tolist()):
             assert low <= f(brk) <= high
 
@@ -504,7 +506,7 @@ class TestBoundedSearch:
             return (level.hex(), jumped), levels
 
         bounded, bounded_levels = outcome(breaks, jumps, bounds=bounds)
-        plain, plain_levels = outcome(*per_index)
+        plain, plain_levels = outcome(*oracles.ascending_breakpoints_loop(*per_index))
         assert bounded == plain
         # the bounded search evaluates a subset of the same levels
         assert set(bounded_levels) <= set(plain_levels)

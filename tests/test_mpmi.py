@@ -265,7 +265,8 @@ class TestSolveFilterLevel:
         u = np.array([1.0, 1.0])
         assert len(discrepancy_curve(f, u, num=3).levels) == 3
         np.testing.assert_array_equal(discrepancy_curve(f, u, num=1).levels, [0.0])
-        for bad in (0, -1):
+        assert len(discrepancy_curve(f, u, num=np.int64(2)).levels) == 2
+        for bad in (0, -1, 2.5, 3.0, True, "3"):
             with pytest.raises(InputError, match="at least one level"):
                 discrepancy_curve(f, u, num=bad)
 

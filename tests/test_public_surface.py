@@ -4,6 +4,7 @@ small, importing it loads no scipy, and the benchmark's imports
 resolve."""
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -59,3 +60,9 @@ def test_benchmark_imports_resolve(monkeypatch):
     assert workloads.spectrum_distance_sq is minpinv.mpm.spectrum_distance_sq
     assert callable(minpinv._kernels.filter_x)
     assert isinstance(minpinv._kernels.USING_NUMBA, bool)
+    # perfbench/tracing.py wraps the root finder by these names and passes
+    # eval_fn and breaks positionally; its span names come from __module__
+    params = inspect.signature(minpinv.mpm.solve_generalized_root).parameters
+    assert list(params)[:2] == ["eval_fn", "breaks"]
+    for name in ("solve_generalized_root", "solve_level", "minimal_pseudoinverse"):
+        assert getattr(minpinv.mpm, name).__module__ == "minpinv.mpm"
