@@ -27,7 +27,7 @@ from .linalg import (
     svd,
 )
 from .matio import read_matrix, read_vector, write_matrix, write_vector
-from .mpm import minimal_pseudoinverse, spectrum_distance_sq
+from .mpm import minimal_pseudoinverse
 from .mpmi import SolveReport, discrepancy_curve
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "write_vector",
     # mpm and the matrix error bound
     "minimal_pseudoinverse",
-    "spectrum_distance_sq",
     "tsvd_rank_by_matrix_error",
     # harness
     "build_poisson",

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InputError, SolverError
-from .linalg import SvdFactors, require_vector, svd
+from .linalg import SvdFactors, check_spectrum, svd
 from .mpm import filtered_spectrum, solve_generalized_root, solve_level
 from .mpmi import discrepancy_target, head_residual_sq, mpmi_spectrum, spectral_report
 
@@ -54,8 +54,9 @@ def tsvd_rank_by_matrix_error(sigma, matrix_error):
 
     Returns the unique kappa with
     sqrt(sum_{k>kappa} sigma_k^2) <= matrix_error < sqrt(sum_{k>=kappa} sigma_k^2).
+    A negative or rising ``sigma`` raises ``InputError``.
     """
-    sigma = require_vector(sigma, "spectrum")
+    sigma = check_spectrum(sigma)
     if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
     tails = _coeff_tails(sigma)
@@ -144,8 +145,9 @@ def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
     one parameter that the method accepts must be given: ``delta_abs``,
     the absolute noise bound on ``u`` (the method's own parameter is then
     chosen by the discrepancy principle), ``rank`` (tsvd), ``alpha`` (tr,
-    morozov) or ``h``, the matrix error bound of mpm.  The parameters are
-    checked before anything is factorized.
+    morozov) or ``h``, the matrix error bound of mpm.  Which parameter was
+    given is checked before anything is factorized; its value is checked
+    after the factorization, by the method's chooser.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")

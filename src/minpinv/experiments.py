@@ -14,6 +14,7 @@ import json
 import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from statistics import median
 
 import numpy as np
 
@@ -258,23 +259,13 @@ class ExperimentTable:
     records: tuple
 
 
-def _median(values):
-    """np.median's value for a list of NaN-free floats, without numpy: the
-    middle value, or the two middle values' sum halved, as ``np.mean``
-    takes it."""
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _aggregate(config, records):
     """One row per (method, delta) of the configuration, from one pass that
     groups the records.  The reductions give np.median's and np.mean's
-    bits: "mean" keeps np.mean, whose pairwise sum a plain loop would
-    not match, and the jump fraction counts exactly before it divides."""
-    agg = _median if config.aggregation == "median" else np.mean
+    bits: ``median`` halves the two middle values' sum as np.median does,
+    "mean" keeps np.mean, whose pairwise sum a plain loop would not
+    match, and the jump fraction counts exactly before it divides."""
+    agg = median if config.aggregation == "median" else np.mean
     cells = {}
     for r in records:
         cells.setdefault((r.method, r.delta), []).append(r)
@@ -294,7 +285,7 @@ def _aggregate(config, records):
                     condition_number=float(agg([r.condition_number for r in good])),
                     jump_fraction=sum(r.jump_root for r in good) / len(good),
                     param_min=min(params),
-                    param_median=_median(params),
+                    param_median=median(params),
                     param_max=max(params),
                 )
             else:

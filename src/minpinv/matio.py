@@ -67,6 +67,17 @@ def _parse_floats(tokens, where):
         raise
 
 
+def _shape(line, sep, where):
+    """(m, n) from a dimension line of two positive integers split by ``sep``."""
+    try:
+        m, n = map(int, line.split(sep))
+    except ValueError as exc:
+        raise InputError(f"{where}: bad dimension line {line!r}") from exc
+    if m < 1 or n < 1:
+        raise InputError(f"{where}: dimensions must be positive, got {m}x{n}")
+    return m, n
+
+
 # ---------------------------------------------------------------------------
 # CSV
 
@@ -87,15 +98,7 @@ def load_matrix_csv(text, where="csv input"):
         start = 1
     if start >= len(lines):
         raise InputError(f"{where} has no dimension line")
-    dims = lines[start].split(",")
-    if len(dims) != 2:
-        raise InputError(f"{where}: dimension line must be 'rows,cols' values")
-    try:
-        m, n = int(dims[0]), int(dims[1])
-    except ValueError as exc:
-        raise InputError(f"{where}: bad dimensions {lines[start]!r}") from exc
-    if m < 1 or n < 1:
-        raise InputError(f"{where}: dimensions must be positive, got {m}x{n}")
+    m, n = _shape(lines[start], ",", where)
     body = lines[start + 1:]
     if len(body) != m:
         raise InputError(f"{where}: expected {m} data rows, found {len(body)}")
@@ -139,15 +142,7 @@ def load_matrix_mm(text, where="matrixmarket input"):
             if ln and ln[0] != "%"]
     if not rest:
         raise InputError(f"{where} has no size line")
-    dims = rest[0].split()
-    if len(dims) != 2:
-        raise InputError(f"{where}: bad size line {rest[0]!r}")
-    try:
-        m, n = int(dims[0]), int(dims[1])
-    except ValueError as exc:
-        raise InputError(f"{where}: bad size line {rest[0]!r}") from exc
-    if m < 1 or n < 1:
-        raise InputError(f"{where}: dimensions must be positive, got {m}x{n}")
+    m, n = _shape(rest[0], None, where)
     values = rest[1:]
     if len(values) != m * n:
         raise InputError(

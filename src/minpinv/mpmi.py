@@ -40,43 +40,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscrepancyCurve:
-    """Sampled squared-residual curve with its breakpoint jump values."""
+    """Sampled squared-residual curve."""
 
     levels: np.ndarray
     values: np.ndarray          # squared residuals on the level grid
-    break_levels: np.ndarray    # ascending distinct breakpoints
-    break_left: np.ndarray      # value at the breakpoint (left-continuous)
-    break_right: np.ndarray     # right limit past the breakpoint
-    floor_sq: float             # value at level 0
-    plateau_sq: float           # value past the largest breakpoint
 
 
 def discrepancy_curve(factors, u, num=257):
     """Sample the squared-residual curve for plotting/reporting at ``num``
-    levels: level 0, then a geometric grid up past the last breakpoint."""
+    levels: level 0, then a geometric grid from 1e-3 times the smallest
+    breakpoint to 1.05 times the largest."""
     if isinstance(num, bool) or not isinstance(num, numbers.Integral) or num < 1:
         raise InputError(f"a curve needs an integer count of at least one level, got {num!r}")
-    quartic = factors.quartic
-    rank = factors.rank
-    coeffs = factors.project_rhs(u, rank)
-    floor_sq = float(np.sum(coeffs[rank:] ** 2))
-    plateau_sq = floor_sq + float(np.sum(coeffs[:rank] ** 2))
-    breaks, jumps, _ = quartic.residual_breaks(coeffs)
-    top = breaks[-1]
-    levels = np.concatenate([[0.0], np.geomspace(breaks[0] * 1e-3, top * 1.05, num - 1)])
-    residual_sq = quartic.residual_sq(coeffs)
-    values = np.array([residual_sq(float(lv)) for lv in levels])
-    lefts = np.array([residual_sq(float(b)) for b in breaks])
-    rights = lefts + jumps
-    return DiscrepancyCurve(
-        levels=levels,
-        values=values,
-        break_levels=breaks,
-        break_left=lefts,
-        break_right=rights,
-        floor_sq=floor_sq,
-        plateau_sq=plateau_sq,
-    )
+    breaks = factors.quartic.breaks
+    levels = np.concatenate([[0.0], np.geomspace(breaks[-1] * 1e-3, breaks[0] * 1.05, num - 1)])
+    residual_sq = factors.quartic.residual_sq(factors.project_rhs(u))
+    return DiscrepancyCurve(levels, np.array([residual_sq(float(lv)) for lv in levels]))
 
 
 def discrepancy_target(coeffs, rank, delta_abs):

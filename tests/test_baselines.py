@@ -117,6 +117,12 @@ class TestTsvdRankByMatrixError:
         with pytest.raises(InputError, match="must be positive"):
             tsvd_rank_by_matrix_error(np.array([3.0, 2.0, 1.0]), float("nan"))
 
+    @pytest.mark.parametrize("sigma", [[1.0, 3.0, 2.0], [3.0, -2.0, 1.0]])
+    def test_rejects_a_bad_spectrum(self, sigma):
+        # a rising or negative spectrum has no tail energy to fit the bound to
+        with pytest.raises(InputError, match="spectrum"):
+            tsvd_rank_by_matrix_error(np.array(sigma), 1.5)
+
 
 class TestTsvdSolve:
     def test_full_rank_equals_pinv(self, rng):

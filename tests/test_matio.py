@@ -154,6 +154,18 @@ class TestMatrixMarket:
             load_matrix_mm("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n")
 
 
+@pytest.mark.parametrize("load, header, where, line", [
+    *[(load_matrix_csv, "rows,cols", "csv input", line)
+      for line in ("2", "2,x", "1,2,3", "2 2")],
+    *[(load_matrix_mm, MM_HEADER, "matrixmarket input", line)
+      for line in ("2", "2 x", "1 2 3")],
+])
+def test_bad_dimension_line(load, header, where, line):
+    with pytest.raises(InputError) as exc:
+        load(f"{header}\n{line}\n1\n")
+    assert str(exc.value) == f"{where}: bad dimension line {line!r}"
+
+
 class TestPaths:
     def test_extension_dispatch(self, tmp_path, rng):
         a = rng.standard_normal((4, 3))

@@ -1,5 +1,7 @@
 """Filter factor contract, discrepancy equation, full noisy-rhs solves."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -254,11 +256,15 @@ class TestSolveFilterLevel:
         f = svd(a)
         u = rng.standard_normal(8)
         curve = discrepancy_curve(f, u)
-        assert curve.values[0] == pytest.approx(curve.floor_sq, rel=1e-12)
-        assert curve.values[-1] == pytest.approx(curve.plateau_sq, rel=1e-12)
-        assert np.all(np.diff(curve.values) >= -1e-12 * curve.plateau_sq)
-        assert np.all(curve.break_right >= curve.break_left)
-        assert curve.plateau_sq == pytest.approx(float(u @ u), rel=1e-12)
+        basis = f.u[:, : f.rank]
+        floor = u - basis @ (basis.T @ u)
+        assert [fl.name for fl in dataclasses.fields(curve)] == ["levels", "values"]
+        assert curve.values[0] == pytest.approx(float(floor @ floor), rel=1e-12)
+        assert curve.values[-1] == pytest.approx(float(u @ u), rel=1e-12)
+        assert np.all(np.diff(curve.values) >= 0.0)
+        breaks = f.quartic.breaks
+        assert curve.levels[1] == breaks[-1] * 1e-3
+        assert curve.levels[-1] == breaks[0] * 1.05
 
     def test_curve_level_count(self):
         f = svd(np.diag([2.0, 1.0]))

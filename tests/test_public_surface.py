@@ -31,8 +31,8 @@ def test_star_import_resolves(name):
         assert namespace[entry] is getattr(module, entry)
 
 
-def test_package_exports_at_most_24_names():
-    assert len(minpinv.__all__) <= 24
+def test_package_exports_at_most_23_names():
+    assert len(minpinv.__all__) <= 23
 
 
 def test_imports_without_scipy():
