@@ -20,6 +20,7 @@ values at the breakpoints.  ``filter_x`` is its only one-shot form, and
 ``poisson_kernel`` fills the model problem's matrix.
 """
 
+import copy
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 
@@ -112,35 +113,9 @@ class QuarticFilter:
         x[: len(y)] = 1.0 + y
         return x
 
-    def _sum_sq(self, weights, shift):
-        """The function of the level sum_k weights_k shift(y_k)**2 over the
-        kept indices plus weights_k for every truncated one; ``weights`` may
-        run past the spectrum, and those entries always count in full."""
-        tails = np.cumsum(weights[::-1])[::-1].tolist() + [0.0]
-
-        def value(level):
-            y = self.excess(level)
-            d = shift(y)
-            return float(np.dot(d * d, weights[: len(y)])) + tails[len(y)]
-
-        return value
-
-    def residual_sq(self, coeffs):
-        """Squared residual of the filtered solve as a function of the level:
-        (1 - 1/x_k)**2 c_k**2 over the kept indices, c_k**2 over the
-        truncated ones and every coordinate past the spectrum."""
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        return self._sum_sq(coeffs * coeffs, _residual_shift)
-
-    def distance_sq(self):
-        """Squared Frobenius distance between the filtered and raw spectrum
-        as a function of the level: (sigma_k (x_k - 1))**2 over the kept
-        indices, sigma_k**2 over the truncated ones."""
-        return self._sum_sq(self.sigma * self.sigma, _distance_shift)
-
     @cached_property
     def _plan(self):
-        """What ``_breaks`` needs of sigma alone: the points, each index's
+        """What ``_sum_sq`` needs of sigma alone: the points, each index's
         point, the gather of hi, lo and cross, and sigma**-8 kept in range."""
         points, segment = np.unique(self.breaks, return_inverse=True)
         cross = (-self.s4).searchsorted(-3.0 * points, "right")
@@ -151,18 +126,23 @@ class QuarticFilter:
                                  np.searchsorted(self._neg_breaks, -points, "left"), cross])
         return points, segment, gather, cross, scale, grade, scale >= np.finfo(float).tiny
 
-    def _breaks(self, weights, cap):
-        """Distinct breakpoints b ascending, their summed jumps (1 - cap)
-        weights_k and bounds (lower, upper) on ``_sum_sq(weights, shift)``
-        at each b, where shift(1/2)**2 = cap.  At b the indices from lo =
-        #(breaks > b) to hi - 1 = #(breaks >= b) - 1 are tied and add cap
-        weights_k; those below lo add at most weights_k min(t_k**2, cap),
-        as y_k <= t_k = b / sigma_k**4.  With W the weights' suffix sums
-        the value lies between (1 - cap) W[hi] + cap W[lo] and
-        (1 - cap) W[hi] + cap W[c] + b**2 sum_{k<c} weights_k / sigma_k**8
-        for any c <= lo, here cross = #(t_k <= 1/3).  Both widen by
-        16 n eps W[0], n = len(weights), for rounding; a bound out of float
-        range (b**2 subnormal, sigma**-8 overflowing) is infinite.
+    def _sum_sq(self, weights, shift, cap):
+        """``(f, points, jumps, bounds)`` for f(level) = sum_k weights_k
+        shift(y_k)**2 over the kept indices plus weights_k for every
+        truncated one; ``weights`` may run past the spectrum, and those
+        entries always count in full.  shift(1/2)**2 = cap.
+
+        The points b are the distinct breakpoints ascending, the jumps the
+        summed (1 - cap) weights_k of each, and bounds = (lower, upper) on
+        f(b).  At b the indices from lo = #(breaks > b) to hi - 1 =
+        #(breaks >= b) - 1 are tied and add cap weights_k; those below lo
+        add at most weights_k min(t_k**2, cap), as y_k <= t_k = b /
+        sigma_k**4.  With W the weights' suffix sums the value lies between
+        (1 - cap) W[hi] + cap W[lo] and (1 - cap) W[hi] + cap W[c] + b**2
+        sum_{k<c} weights_k / sigma_k**8 for any c <= lo, here cross =
+        #(t_k <= 1/3).  Both widen by 16 n eps W[0], n = len(weights), for
+        rounding; a bound out of float range (b**2 subnormal, sigma**-8
+        overflowing) is infinite.
         """
         points, segment, gather, cross, scale, grade, known = self._plan
         mix = [[1.0 - cap, cap, 0.0], [1.0 - cap, 0.0, cap]]
@@ -171,6 +151,12 @@ class QuarticFilter:
         jumps = np.bincount(segment, weights=(1.0 - cap) * weights[:n])
         tails = np.zeros(len(weights) + 1)
         np.cumsum(weights[::-1], out=tails[-2::-1])
+        tails_list = tails.tolist()
+
+        def f(level):
+            d = shift(self.excess(level))
+            return float(np.dot(d * d, weights[: len(d)])) + tails_list[len(d)]
+
         graded = np.zeros(n + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             np.cumsum(weights[:n] * grade, out=graded[1:])
@@ -179,16 +165,22 @@ class QuarticFilter:
         margin = 16.0 * len(weights) * np.finfo(float).eps * tails[0]
         bounds += [[-margin], [margin]]
         bounds[:, ~(known & (bounds[1] < np.inf))] = [[-np.inf], [np.inf]]
-        return points, jumps, bounds
+        return f, points, jumps, bounds
 
-    def residual_breaks(self, coeffs):
-        """Merged breakpoints, jumps and bounds of ``residual_sq(coeffs)``."""
-        return self._breaks(np.square(coeffs, dtype=np.float64), RESIDUAL_CAP)
+    def residual_sq(self, coeffs):
+        """``_sum_sq`` for the squared residual of the filtered solve:
+        (1 - 1/x_k)**2 c_k**2 over the kept indices, c_k**2 over the
+        truncated ones and every coordinate past the spectrum."""
+        return self._sum_sq(np.square(coeffs, dtype=np.float64), _residual_shift, RESIDUAL_CAP)
 
     @cached_property
-    def distance_breaks(self):
-        """The same for ``distance_sq()``, which depend on sigma alone."""
-        return self._breaks(self.sigma * self.sigma, DISTANCE_CAP)
+    def distance_sq(self):
+        """``_sum_sq`` for the squared Frobenius distance between the
+        filtered and raw spectrum, which depends on sigma alone: (sigma_k
+        (x_k - 1))**2 over the kept indices, sigma_k**2 over the truncated."""
+        # built on a copy, which the function refers to: cached on the filter,
+        # a function that referred back to it would make a reference cycle
+        return copy.copy(self)._sum_sq(self.sigma * self.sigma, _distance_shift, DISTANCE_CAP)
 
 
 def filter_x(sigma, level):

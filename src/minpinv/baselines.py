@@ -39,8 +39,6 @@ def _tsvd_spectrum(factors, coeffs, delta_abs=None, rank=None):
         target, _, _ = discrepancy_target(coeffs, factors.rank, delta_abs)
         fits = np.flatnonzero(_coeff_tails(coeffs)[: factors.rank + 1] <= target)
         rank = max(int(fits[0]), 1) if fits.size else factors.rank
-    elif isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
-        raise InputError(f"truncation rank must be an integer, got {rank!r}")
     if not 1 <= rank <= factors.rank:
         raise InputError(f"truncation rank {rank} outside 1..{factors.rank}")
     rank = int(rank)
@@ -100,8 +98,6 @@ def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
         breaks = np.append(sigma[::-1] ** 2, 1e6 * float(sigma[0]) ** 2)
         alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
                                           target, 1e-10 * u_norm_sq)
-    if not 0.0 < alpha < np.inf:
-        raise InputError("regularization parameter must be positive and finite")
     return values(sigma, alpha), float(alpha), False
 
 
@@ -146,8 +142,8 @@ def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
     the absolute noise bound on ``u`` (the method's own parameter is then
     chosen by the discrepancy principle), ``rank`` (tsvd), ``alpha`` (tr,
     morozov) or ``h``, the matrix error bound of mpm.  Which parameter was
-    given is checked before anything is factorized; its value is checked
-    after the factorization, by the method's chooser.
+    given and its sign (alpha's finiteness, rank's type) are checked before
+    anything is factorized; the method's chooser checks what needs factors.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
@@ -157,6 +153,14 @@ def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
     ) if value is not None}
     if len(given) != 1 or not given.keys() <= set(accepted):
         raise ParameterError(method, sorted(given), list(accepted))
+    (name, value), = given.items()
+    if name == "rank" and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise InputError(f"truncation rank must be an integer, got {value!r}")
+    if name == "alpha" and not 0.0 < value < np.inf:
+        raise InputError("regularization parameter must be positive and finite")
+    if name != "rank" and not value > 0.0:
+        raise InputError("noise bound must be positive" if name == "delta_abs"
+                         else "matrix error bound must be positive")
     factors = a if isinstance(a, SvdFactors) else svd(a)
     coeffs = factors.project_rhs(u)
     s, parameter, jumped = chooser(factors, coeffs, **given)

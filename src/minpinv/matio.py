@@ -141,7 +141,7 @@ def load_matrix_mm(text, where="matrixmarket input"):
     rest = [ln for ln in map(str.strip, lines[first + 1:])
             if ln and ln[0] != "%"]
     if not rest:
-        raise InputError(f"{where} has no size line")
+        raise InputError(f"{where} has no dimension line")
     m, n = _shape(rest[0], None, where)
     values = rest[1:]
     if len(values) != m * n:

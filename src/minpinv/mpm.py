@@ -38,7 +38,7 @@ def spectrum_distance_sq(level, sigma):
     sigma = check_spectrum(sigma)
     if not level >= 0.0:
         raise InputError("filter level must be nonnegative")
-    return _kernels.QuarticFilter(sigma).distance_sq()(float(level))
+    return _kernels.QuarticFilter(sigma).distance_sq[0](float(level))
 
 
 def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=None):
@@ -171,9 +171,8 @@ def solve_level(matrix_error, factors):
             "error level exceeds matrix energy",
             f"error^2 {target} >= total {total_energy}",
         )
-    breaks, jumps, bounds = quartic.distance_breaks
-    return solve_generalized_root(quartic.distance_sq(), breaks, jumps, target,
-                                  tol_abs=1e-12 * target, bounds=bounds)
+    f, breaks, jumps, bounds = quartic.distance_sq
+    return solve_generalized_root(f, breaks, jumps, target, 1e-12 * target, bounds=bounds)
 
 
 @dataclass(frozen=True)

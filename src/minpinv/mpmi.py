@@ -54,7 +54,7 @@ def discrepancy_curve(factors, u, num=257):
         raise InputError(f"a curve needs an integer count of at least one level, got {num!r}")
     breaks = factors.quartic.breaks
     levels = np.concatenate([[0.0], np.geomspace(breaks[-1] * 1e-3, breaks[0] * 1.05, num - 1)])
-    residual_sq = factors.quartic.residual_sq(factors.project_rhs(u))
+    residual_sq = factors.quartic.residual_sq(factors.project_rhs(u))[0]
     return DiscrepancyCurve(levels, np.array([residual_sq(float(lv)) for lv in levels]))
 
 
@@ -147,11 +147,8 @@ def mpmi_spectrum(factors, coeffs, delta_abs):
     the target reaches the plateau ||u||^2.
     """
     quartic = factors.quartic
-    rank = factors.rank
-    target, _, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
-    breaks, jumps, bounds = quartic.residual_breaks(coeffs)
-    level, jumped = solve_generalized_root(
-        quartic.residual_sq(coeffs), breaks, jumps, target,
-        tol_abs=1e-12 * u_norm_sq, bounds=bounds,
-    )
+    target, _, u_norm_sq = discrepancy_target(coeffs, factors.rank, delta_abs)
+    f, breaks, jumps, bounds = quartic.residual_sq(coeffs)
+    level, jumped = solve_generalized_root(f, breaks, jumps, target,
+                                           tol_abs=1e-12 * u_norm_sq, bounds=bounds)
     return filtered_spectrum(quartic.sigma, level), level, jumped

@@ -116,7 +116,7 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
 
     top = float(quartic.breaks[0])
     levels = np.linspace(0.0, 1.05 * top, 10_000)
-    residual_sq = quartic.residual_sq(coeffs)
+    residual_sq = quartic.residual_sq(coeffs)[0]
     values = np.array([residual_sq(float(level)) for level in levels])
 
     nondecreasing = bool(np.all(np.diff(values) >= -1e-10 * u_sq))
@@ -133,7 +133,7 @@ def test_criterion_4_discrepancy_structure(desk_problem, desk_factors):
             c = desk_factors.project_rhs(u_d)
             target = delta_abs ** 2 + c[-1] ** 2
             level = solve(desk_factors, u_d, "mpmi", delta_abs=delta_abs).parameter
-            residual_sq = quartic.residual_sq(c)
+            residual_sq = quartic.residual_sq(c)[0]
             left = residual_sq(level)
             right = residual_sq(np.nextafter(level, np.inf))
             uu = float(u_d @ u_d)

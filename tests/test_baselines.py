@@ -378,6 +378,27 @@ class TestSolveDispatch:
         with pytest.raises(InputError, match="unknown method"):
             solve(zero, np.ones(2), "lcurve", delta_abs=0.1)
 
+    @pytest.mark.parametrize("method, name, value, message", [
+        *[(method, "delta_abs", value, "noise bound must be positive")
+          for method in ("mpmi", "tsvd", "tr", "morozov") for value in (-1.0, 0.0, np.nan)],
+        *[("mpm", "h", value, "matrix error bound must be positive")
+          for value in (-1.0, 0.0, np.nan)],
+        *[(method, "alpha", value, "regularization parameter must be positive and finite")
+          for method in ("tr", "morozov") for value in (-1.0, 0.0, np.nan, np.inf)],
+        *[("tsvd", "rank", value, f"truncation rank must be an integer, got {value!r}")
+          for value in (1.9, 2.0, True, np.True_)],
+    ])
+    def test_parameter_values_checked_before_factorizing(self, monkeypatch, method, name,
+                                                         value, message):
+        # a bad value needs no factors: it must not cost a factorization
+        def no_svd(a):
+            raise AssertionError("factorized before checking the parameter")
+
+        monkeypatch.setattr(minpinv.baselines, "svd", no_svd)
+        with pytest.raises(InputError) as exc:
+            solve(np.eye(3), np.ones(3), method, **{name: value})
+        assert str(exc.value) == message
+
     def test_discrepancy_choice_matches_two_steps(self, rng):
         a = oracles.rank_matrix(rng, 9, 6, 5)
         f = svd(a)

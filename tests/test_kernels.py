@@ -1,5 +1,7 @@
 """Kernel correctness: quartic roots, filter factors, distance, kernel fill."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,7 +120,7 @@ class TestQuarticFilterOnTheDeskSpectrum:
 
     def test_residual_matches_oracle(self, case):
         sigma, coeffs, _, levels = case
-        residual_sq = _kernels.QuarticFilter(sigma).residual_sq(coeffs)
+        residual_sq = _kernels.QuarticFilter(sigma).residual_sq(coeffs)[0]
         for level in levels.tolist():
             ref = oracles.mpmi_beta_sq(level, sigma, coeffs, len(sigma))
             assert residual_sq(level) == pytest.approx(ref, rel=1e-13)
@@ -157,11 +159,24 @@ class TestFilterX:
 class TestDistanceAndDiscrepancy:
     def test_distance_zero_at_zero_level(self):
         sigma = np.array([3.0, 2.0, 1.0])
-        assert _kernels.QuarticFilter(sigma).distance_sq()(0.0) == 0.0
+        assert _kernels.QuarticFilter(sigma).distance_sq[0](0.0) == 0.0
 
     def test_distance_saturates(self):
         sigma = np.array([1.0])
-        assert _kernels.QuarticFilter(sigma).distance_sq()(2.0) == 1.0
+        assert _kernels.QuarticFilter(sigma).distance_sq[0](2.0) == 1.0
+
+    def test_cached_distance_leaves_no_reference_cycle(self):
+        # were the cached distance function to refer back to its filter,
+        # every filter dropped after a distance would wait for the collector
+        sigma = np.array([3.0, 2.0, 1.0])
+        gc.collect()
+        gc.disable()
+        try:
+            _kernels.QuarticFilter(sigma).distance_sq[0](0.5)
+            spectrum_distance_sq(0.5, sigma)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPoissonKernel:

@@ -135,7 +135,7 @@ def test_positive_quartic_is_mpms_filter_set_up_once():
     assert f.rank == 2
     assert f.positive_quartic is f.positive_quartic
     np.testing.assert_array_equal(f.positive_quartic.sigma, f.sigma[:3])
-    assert f.positive_quartic.distance_breaks is f.positive_quartic.distance_breaks
+    assert f.positive_quartic.distance_sq is f.positive_quartic.distance_sq
 
 
 def assert_same_report(report, ref, rtol=1e-10):

@@ -166,6 +166,17 @@ def test_bad_dimension_line(load, header, where, line):
     assert str(exc.value) == f"{where}: bad dimension line {line!r}"
 
 
+@pytest.mark.parametrize("load, text, where", [
+    (load_matrix_csv, "rows,cols\n", "csv input"),
+    (load_matrix_mm, f"{MM_HEADER}\n% comment\n", "matrixmarket input"),
+])
+def test_no_dimension_line(load, text, where):
+    # each format says the same when the file ends after its header
+    with pytest.raises(InputError) as exc:
+        load(text)
+    assert str(exc.value) == f"{where} has no dimension line"
+
+
 class TestPaths:
     def test_extension_dispatch(self, tmp_path, rng):
         a = rng.standard_normal((4, 3))

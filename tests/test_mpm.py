@@ -416,6 +416,21 @@ class TestGeneralizedRoot:
         for level, value in seen.items():
             assert spectrum_distance_sq(level, sigma) == value
 
+    def test_distance_sum_is_built_once_per_factorization(self, desk_factors, monkeypatch):
+        # like its breakpoints, mpm's distance function depends on sigma
+        # alone: every solve_level on the same factors hands over one object
+        seen = []
+
+        def recording(eval_fn, *args, **kwargs):
+            seen.append(eval_fn)
+            return solve_generalized_root(eval_fn, *args, **kwargs)
+
+        monkeypatch.setattr(minpinv.mpm, "solve_generalized_root", recording)
+        energy = float(np.sum(desk_factors.sigma ** 2))
+        for share in (1e-4, 0.1):
+            solve_level(np.sqrt(share * energy), desk_factors)
+        assert len(seen) == 2 and seen[0] is seen[1]
+
     def test_bisects_to_float_resolution(self):
         # f(L) = L below the breakpoint 1: the root 1e-300 lies about a
         # thousand halvings down and the tolerance is 0, so the finder must
@@ -451,12 +466,12 @@ def quartic_functions(draw):
         coeffs[rng.uniform(size=len(coeffs)) < 0.25] = 0.0
         assume(np.any(coeffs[:-1]))
         quartic = _kernels.QuarticFilter(sigma)
-        f, merged = quartic.residual_sq(coeffs), quartic.residual_breaks(coeffs)
+        f, *merged = quartic.residual_sq(coeffs)
         weights, cap = coeffs * coeffs, _kernels.RESIDUAL_CAP
     else:
         sigma = np.append(sigma, np.zeros(draw(st.integers(min_value=0, max_value=2))))
         quartic = _kernels.QuarticFilter(sigma)
-        f, merged = quartic.distance_sq(), quartic.distance_breaks
+        f, *merged = quartic.distance_sq
         weights, cap = sigma * sigma, _kernels.DISTANCE_CAP
     per_index = quartic.breaks, (1.0 - cap) * weights[: len(sigma)]
     return f, merged, per_index, float(np.sum(weights))

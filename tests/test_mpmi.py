@@ -134,7 +134,7 @@ class TestDiscrepancy:
         u = rng.standard_normal(7)
         quartic = f.quartic
         coeffs = f.project_rhs(u)
-        assert quartic.residual_sq(coeffs)(0.0) == pytest.approx(
+        assert quartic.residual_sq(coeffs)[0](0.0) == pytest.approx(
             f.project_rhs(u)[-1] ** 2, rel=1e-12
         )
 
@@ -145,7 +145,7 @@ class TestDiscrepancy:
         quartic = f.quartic
         coeffs = f.project_rhs(u)
         past_top = 2.0 * quartic.breaks[0]
-        assert quartic.residual_sq(coeffs)(past_top) == pytest.approx(
+        assert quartic.residual_sq(coeffs)[0](past_top) == pytest.approx(
             float(u @ u), rel=1e-12
         )
 
@@ -154,7 +154,7 @@ class TestDiscrepancy:
         f = svd(np.diag([1.0]))
         quartic = f.quartic
         coeffs = f.project_rhs(np.array([2.0]))
-        value = quartic.residual_sq(coeffs)(float(quartic.breaks[0]))
+        value = quartic.residual_sq(coeffs)[0](float(quartic.breaks[0]))
         assert value == pytest.approx(4.0 / 9.0, rel=1e-14)
 
     def test_discrepancy_saturates(self):
@@ -162,8 +162,8 @@ class TestDiscrepancy:
         f = svd(np.diag([1.0]))
         quartic = f.quartic
         coeffs = f.project_rhs(np.array([2.0]))
-        assert quartic.residual_sq(coeffs)(2.0) == 4.0
-        at_break = quartic.residual_sq(coeffs)(QUARTIC_MAX)
+        assert quartic.residual_sq(coeffs)[0](2.0) == 4.0
+        at_break = quartic.residual_sq(coeffs)[0](QUARTIC_MAX)
         assert at_break == pytest.approx(4.0 / 9.0, rel=1e-14)
 
     def test_matches_oracle_everywhere(self, rng):
@@ -173,7 +173,7 @@ class TestDiscrepancy:
         quartic = f.quartic
         coeffs = f.project_rhs(u)
         for level in np.geomspace(quartic.breaks[-1] * 1e-4, 1.5 * quartic.breaks[0], 40):
-            ours = quartic.residual_sq(coeffs)(float(level))
+            ours = quartic.residual_sq(coeffs)[0](float(level))
             ref = oracles.mpmi_beta_sq(float(level), f.sigma, coeffs, f.rank)
             assert ours == pytest.approx(ref, rel=1e-9)
 
@@ -190,7 +190,7 @@ class TestSolveFilterLevel:
         quartic = f.quartic
         coeffs = f.project_rhs(u)
         # solver contract: |value - target| <= 1e-12 * ||u||^2 = 4e-12
-        assert quartic.residual_sq(coeffs)(level) == pytest.approx(0.2, abs=4e-12)
+        assert quartic.residual_sq(coeffs)[0](level) == pytest.approx(0.2, abs=4e-12)
 
     def test_forced_jump(self):
         # target 1.0 sits between 4/9 (left) and 4 (right) at the breakpoint
@@ -225,8 +225,8 @@ class TestSolveFilterLevel:
             quartic = f.quartic
             coeffs = f.project_rhs(u)
             target = delta_sq + floor_sq
-            left = quartic.residual_sq(coeffs)(level)
-            right = quartic.residual_sq(coeffs)(np.nextafter(level, np.inf))
+            left = quartic.residual_sq(coeffs)[0](level)
+            right = quartic.residual_sq(coeffs)[0](np.nextafter(level, np.inf))
             assert left <= target + 1e-9 * u_sq
             assert right >= target - 1e-9 * u_sq
 

@@ -44,7 +44,7 @@ def test_mpmi_level_sandwiches_the_target(problem):
     factors, u, delta_abs, _ = problem
     report = solve(factors, u, "mpmi", delta_abs=delta_abs)
     coeffs = factors.project_rhs(u)
-    residual_sq = factors.quartic.residual_sq(coeffs)
+    residual_sq = factors.quartic.residual_sq(coeffs)[0]
     target = delta_abs ** 2 + float(np.sum(coeffs[factors.rank:] ** 2))
     slack = 1e-12 * float(u @ u)
     level = report.parameter
