@@ -6,9 +6,11 @@ precision near x = 1, where x - 1 taken from a rounded x keeps only an
 absolute eps, and both the mpm distance (x - 1)**2 and the mpmi residual
 (1 - 1/x)**2 = (y / x)**2 are functions of y.  The left side is convex
 and strictly increasing, so Newton started from an upper bound on the
-root converges monotonically; four steps reach it to within a few ulps
-anywhere on the range, so the kernel takes exactly four, with no
-convergence test.  Endpoints are returned exactly.
+root converges monotonically.  The start is read off a chord table of
+y/t, built once at import, and is within 1.01e-5 relative of the root;
+two steps reach the root to within a few ulps anywhere on the range, so
+the kernel takes exactly two, with no convergence test.  Endpoints are
+returned exactly.
 
 ``QuarticFilter`` applies the kernel to one nonincreasing spectrum, set
 up once: the rank block (``SvdFactors.quartic``) or mpm's positive block
@@ -29,10 +31,11 @@ import numpy as np
 # Value of x**4 - x**3 at x = 3/2: the largest admissible right side.
 QUARTIC_MAX = 27.0 / 16.0
 
-# Newton steps from the upper-bound start.  Four put y within 5 ulps of
-# the converged root over all of [0, 27/16] (checked on 200 001 points
-# and on geometric grids towards both ends); more steps do not improve it.
-NEWTON_STEPS = 4
+# Newton steps from the tabulated start: its relative error of 1.01e-5
+# falls below 7e-11 and then 4e-21, under the rounding of the last step,
+# so y is within 3 eps of the exact root over all of [0, 27/16] (checked
+# on 200 001 points and on geometric grids towards both ends).
+NEWTON_STEPS = 2
 
 # There is one (numpy) flavour; the benchmark's environment record reads this.
 USING_NUMBA = False
@@ -43,27 +46,57 @@ RESIDUAL_CAP = (1.0 - 1.0 / 1.5) ** 2     # (1 - 1/x)**2
 DISTANCE_CAP = 0.25                       # (x - 1)**2
 
 
+def _newton(y, t, steps):
+    """Newton steps on (1 + y)**3 y = t from ``y``, as y' = (3 q**2 + t) /
+    (p (p + 4 q)) with p = 1 + y and q = y p: no term is negative, so
+    nothing cancels.  An iterate's relative error e becomes
+    3y (1 + 2y) / (p (1 + 4y)) e**2, at most (2/3) e**2 on [0, 1/2]."""
+    for _ in range(steps):
+        p = 1.0 + y
+        q = y * p
+        y = (3.0 * q * q + t) / (p * (p + 4.0 * q))
+    return y
+
+
+def _chord_table():
+    """1025 uniform knots on [0, 27/16] and c(t) = y/t = (1 + y)**-3 on them.
+
+    y takes four steps from the root 2t / (sqrt(1 + 12t) + 1) of
+    (1 + 3y) y = t, above the root since (1 + y)**3 >= 1 + 3y.  c computed
+    from it falls short of the exact value by up to 3.8 ulps, so it is
+    raised by 8 eps, which also covers the rounding of ``_start``.
+    """
+    knots = np.linspace(0.0, QUARTIC_MAX, 1025)
+    p = 1.0 + _newton(np.minimum(2.0 * knots / (np.sqrt(1.0 + 12.0 * knots) + 1.0), 0.5),
+                      knots, 4)
+    return knots, (1.0 + 8.0 * np.finfo(float).eps) / (p * p * p)
+
+
+_CHORD_KNOTS, _CHORD = _chord_table()
+
+
+def _start(t):
+    """Upper bound on the excess for t >= 0: c is convex, so its chords lie
+    above it."""
+    return np.minimum(np.interp(t, _CHORD_KNOTS, _CHORD) * t, 0.5)
+
+
 def quartic_excess(t):
     """y = x - 1 for the roots x in [1, 3/2] of x**4 - x**3 = t, elementwise
-    over ``t``; t <= 0 gives 0 and t >= 27/16 gives 1/2.
+    over ``t`` and of its shape; t <= 0 gives 0 and t >= 27/16 gives 1/2.
 
-    Newton on (1 + y)**3 y = t starts from the root 2t / (sqrt(1 + 12t) + 1)
-    of (1 + 3y) y = t, capped at 1/2.  Since (1 + y)**3 >= 1 + 3y, the
-    start is an upper bound on the root.  y is within a few eps of the
-    exact root, so it is not monotone at the scale of an ulp: as t grows it
-    may fall below an earlier value by at most twice that error (measured:
-    4 eps relative, 7 ulps, over runs of adjacent floats anywhere in the
-    range); a grid whose steps raise the exact root by more never sees it.
+    Newton on (1 + y)**3 y = t starts from the chord table (``_start``),
+    within 1.01e-5 relative above the root, and takes ``NEWTON_STEPS``
+    steps.  y is within a few eps of the exact root, so it is not
+    monotone at the scale of an ulp: as t grows it may fall below an
+    earlier value by at most twice that error (measured: 3 eps relative
+    over runs of adjacent floats anywhere in the range); a grid whose
+    steps raise the exact root by more never sees it.
     """
     t = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
-    y = np.minimum(2.0 * t / (np.sqrt(1.0 + 12.0 * t) + 1.0), 0.5)
-    for _ in range(NEWTON_STEPS):
-        p = 1.0 + y
-        pp = p * p
-        y -= (pp * p * y - t) / (pp * (1.0 + 4.0 * y))
     # the iterates fall towards the root and stay in [0, 1/2], except for
     # t > 27/16, where they climb past the cap
-    return np.minimum(y, 0.5, out=y)
+    return np.minimum(_newton(_start(t), t, NEWTON_STEPS), 0.5)
 
 
 def _residual_shift(y):
@@ -126,11 +159,24 @@ class QuarticFilter:
                                  np.searchsorted(self._neg_breaks, -points, "left"), cross])
         return points, segment, gather, cross, scale, grade, scale >= np.finfo(float).tiny
 
+    def _level_sum(self, weights, shift):
+        """``(f, tails)``: f(level) = sum_k weights_k shift(y_k)**2 over the
+        kept indices plus weights_k for every truncated one, and tails the
+        suffix sums of ``weights``, which may run past the spectrum."""
+        tails = np.zeros(len(weights) + 1)
+        np.cumsum(weights[::-1], out=tails[-2::-1])
+        tails_list = tails.tolist()
+
+        def f(level):
+            d = shift(self.excess(level))
+            return float(np.dot(d * d, weights[: len(d)])) + tails_list[len(d)]
+
+        return f, tails
+
     def _sum_sq(self, weights, shift, cap):
-        """``(f, points, jumps, bounds)`` for f(level) = sum_k weights_k
-        shift(y_k)**2 over the kept indices plus weights_k for every
-        truncated one; ``weights`` may run past the spectrum, and those
-        entries always count in full.  shift(1/2)**2 = cap.
+        """``(f, points, jumps, bounds)`` for ``_level_sum``'s f;
+        ``weights`` past the spectrum always count in full, and
+        shift(1/2)**2 = cap.
 
         The points b are the distinct breakpoints ascending, the jumps the
         summed (1 - cap) weights_k of each, and bounds = (lower, upper) on
@@ -149,14 +195,7 @@ class QuarticFilter:
         n = len(self.s4)
         # bincount adds a tie's jumps in index order
         jumps = np.bincount(segment, weights=(1.0 - cap) * weights[:n])
-        tails = np.zeros(len(weights) + 1)
-        np.cumsum(weights[::-1], out=tails[-2::-1])
-        tails_list = tails.tolist()
-
-        def f(level):
-            d = shift(self.excess(level))
-            return float(np.dot(d * d, weights[: len(d)])) + tails_list[len(d)]
-
+        f, tails = self._level_sum(weights, shift)
         graded = np.zeros(n + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             np.cumsum(weights[:n] * grade, out=graded[1:])
@@ -181,6 +220,11 @@ class QuarticFilter:
         # built on a copy, which the function refers to: cached on the filter,
         # a function that referred back to it would make a reference cycle
         return copy.copy(self)._sum_sq(self.sigma * self.sigma, _distance_shift, DISTANCE_CAP)
+
+    def distance_sq_at(self, level):
+        """``distance_sq``'s function at one level, with neither its
+        breakpoint plan nor its bounds built."""
+        return self._level_sum(self.sigma * self.sigma, _distance_shift)[0](level)
 
 
 def filter_x(sigma, level):

@@ -38,7 +38,7 @@ def spectrum_distance_sq(level, sigma):
     sigma = check_spectrum(sigma)
     if not level >= 0.0:
         raise InputError("filter level must be nonnegative")
-    return _kernels.QuarticFilter(sigma).distance_sq[0](float(level))
+    return _kernels.QuarticFilter(sigma).distance_sq_at(float(level))
 
 
 def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=None):

@@ -58,7 +58,10 @@ class TestQuarticRoots:
 
 
 class TestFixedStepNewton:
-    """Four Newton steps and no convergence test, checked on dense grids."""
+    """Two Newton steps from the chord-table start and no convergence test,
+    checked on dense grids: the start is within 1.01e-5 relative of the
+    root, and each step squares that error (times at most 2/3), so the
+    rounding of the last step is all that is left."""
 
     GRID = np.linspace(0.0, QUARTIC_TOP, 200_001)
 
@@ -82,7 +85,7 @@ class TestFixedStepNewton:
     def test_steps_back_by_at_most_twice_its_error(self):
         # over runs of adjacent floats the excess is not monotone, but it
         # never falls below an earlier value by more than twice the 4 eps
-        # error of one value (measured: 4 eps, 7 ulps)
+        # error of one value (measured: 2.8 eps, 4 ulps)
         centers = np.concatenate([
             np.linspace(0.0, QUARTIC_TOP, 41)[1:],
             np.geomspace(1e-20, 1e-3, 18),
@@ -97,6 +100,45 @@ class TestFixedStepNewton:
         t = np.array([0.0, QUARTIC_TOP, -1.0, 2.0])
         assert quartic_roots(t).tolist() == [1.0, 1.5, 1.0, 1.5]
         assert _kernels.quartic_excess(t).tolist() == [0.0, 0.5, 0.0, 0.5]
+
+    @pytest.mark.parametrize("t", [1.0, np.float64(1.0), np.array(1.0),
+                                   np.full(3, 1.0), np.full((2, 3), 1.0)],
+                             ids=["float", "float64", "0-d", "1-D", "2-D"])
+    def test_keeps_the_shape_of_its_input(self, t):
+        y = _kernels.quartic_excess(t)
+        assert np.shape(y) == np.shape(t)
+        assert np.all(y == _kernels.quartic_excess(np.array([1.0]))[0])
+
+
+class TestChordStart:
+    """The tabulated start: an upper bound on the root, within 1.1e-5
+    relative of it, read off chords of a convex table."""
+
+    KNOTS = _kernels._CHORD_KNOTS
+    POINTS = np.concatenate([
+        np.linspace(0.0, QUARTIC_TOP, 200_001)[1:],
+        np.geomspace(1e-20, 1e-3, 10_001),
+        # the chords touch the table at the knots, so the bound is tightest there
+        (KNOTS[1:, None] + np.arange(-8, 9) * np.spacing(KNOTS[1:, None])).ravel(),
+    ])
+    POINTS = POINTS[POINTS <= QUARTIC_TOP]
+
+    @pytest.fixture(scope="class")
+    def start_and_root(self):
+        return (_kernels._start(self.POINTS),
+                oracles.quartic_excess_bisect_array(self.POINTS))
+
+    def test_start_is_an_upper_bound(self, start_and_root):
+        start, root = start_and_root
+        assert np.all(start >= root)
+        assert _kernels._start(0.0) == 0.0
+
+    def test_start_error_at_most_1_1e_5(self, start_and_root):
+        start, root = start_and_root
+        assert np.max((start - root) / root) <= 1.1e-5
+
+    def test_table_is_convex(self):
+        assert np.all(np.diff(_kernels._CHORD, 2) >= 0.0)
 
 
 class TestQuarticFilterOnTheDeskSpectrum:
@@ -117,6 +159,22 @@ class TestQuarticFilterOnTheDeskSpectrum:
         for level in levels.tolist():
             ref = oracles.mpm_beta(level, sigma)
             assert spectrum_distance_sq(level, sigma) == pytest.approx(ref, rel=1e-13)
+
+    def test_distance_is_the_cached_curve_bit_for_bit(self, case):
+        sigma, _, _, levels = case
+        distance_sq = _kernels.QuarticFilter(sigma).distance_sq[0]
+        for level in levels.tolist():
+            assert spectrum_distance_sq(level, sigma) == distance_sq(level)
+
+    def test_distance_builds_no_breakpoint_plan(self, case, monkeypatch):
+        # one value needs the function only, not the points and bounds
+        def refuse(self):
+            raise AssertionError("spectrum_distance_sq built the breakpoint plan")
+
+        monkeypatch.setattr(_kernels.QuarticFilter, "_plan", property(refuse))
+        sigma, _, _, levels = case
+        for level in levels.tolist():
+            spectrum_distance_sq(level, sigma)
 
     def test_residual_matches_oracle(self, case):
         sigma, coeffs, _, levels = case

@@ -1,6 +1,7 @@
 """The repository's own tools."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -29,3 +30,27 @@ def test_compare_outputs_finds_a_checkout_identical_to_itself():
     # the desk experiment alone writes 120 curves, a table and a detail file
     count, rest = done.stdout.split(" ", 1)
     assert rest == "files identical\n" and int(count) > 300
+
+
+def test_detail_report_separates_discrete_fields_from_rounding():
+    def payload(parameter, rank, error=None):
+        runs = [{"method": "mpmi", "delta": 0.05, "seed": 0, "jump_root": False,
+                 "effective_rank": 12, "error": None, "accuracy": 0.02,
+                 "condition_number": 7.0, "parameter": 1e-6, "residual": 0.5},
+                {"method": "mpm", "delta": 0.05, "seed": 0, "jump_root": True,
+                 "effective_rank": rank, "error": error, "accuracy": 0.03,
+                 "condition_number": 9.0, "parameter": parameter, "residual": 0.25}]
+        return json.dumps({"config": {}, "runs": runs}).encode()
+
+    compare = _compare_outputs()
+    old = payload(1.0, 14)
+    assert compare.detail_report(old, payload(1.0 + 2.0 ** -48, 14)) == [
+        "desk/detail.json: discrete fields (method, delta, seed, jump_root,"
+        " effective_rank, error) identical",
+        "desk/detail.json: largest relative difference per method",
+        "  mpmi: accuracy 0, condition_number 0, parameter 0, residual 0",
+        "  mpm: accuracy 0, condition_number 0, parameter 3.55e-15, residual 0",
+    ]
+    report = compare.detail_report(old, payload(None, 13, error="SolverError"))
+    assert report[0].endswith("differ in 1 of 2 runs")
+    assert report[3] == "  mpm: accuracy 0, condition_number 0, parameter inf, residual 0"

@@ -19,11 +19,15 @@ Both roots read the same input files, which this script writes with
 numpy alone.  Every file a command writes is kept, and so are its
 stdout, stderr and exit code.  The script exits 0 when the two trees
 match byte for byte, and 1 with the list of paths that differ or exist
-on one side only.
+on one side only.  When ``desk/detail.json`` differs, it also says
+whether the discrete fields of every run (``DISCRETE``) are identical
+and prints, per method, the largest relative difference of each numeric
+field, so a change that moves the levels by rounding alone reads as such.
 """
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -45,6 +49,10 @@ curve_points = 17
 """
 
 MM_HEADER = "%%MatrixMarket matrix array real general"
+
+DETAIL = os.path.join("desk", "detail.json")
+# the run fields that must match exactly; every other field is numeric
+DISCRETE = ("method", "delta", "seed", "jump_root", "effective_rank", "error")
 
 
 def write_inputs(directory):
@@ -142,6 +150,40 @@ def differing_paths(old, new):
     return sorted(p for p in old.keys() | new.keys() if old.get(p) != new.get(p))
 
 
+def relative_difference(a, b):
+    """|a - b| / max(|a|, |b|), 0 for equal values (None included) and inf
+    when only one is None."""
+    if a == b:
+        return 0.0
+    if a is None or b is None:
+        return float("inf")
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def detail_report(old, new):
+    """Lines comparing two ``detail.json`` payloads (bytes) run by run:
+    whether the discrete fields are identical, then the largest relative
+    difference of each numeric field, per method."""
+    old_runs, new_runs = (json.loads(payload)["runs"] for payload in (old, new))
+    discrete = [[tuple(r.get(k) for k in DISCRETE) for r in runs]
+                for runs in (old_runs, new_runs)]
+    differ = sum(a != b for a, b in zip(*discrete)) + abs(len(old_runs) - len(new_runs))
+    lines = [f"{DETAIL}: discrete fields ({', '.join(DISCRETE)}) "
+             + (f"differ in {differ} of {max(len(old_runs), len(new_runs))} runs"
+                if differ else "identical")]
+    largest = {}
+    for a, b in zip(old_runs, new_runs):
+        if a["method"] != b["method"]:
+            continue
+        fields = largest.setdefault(a["method"], {})
+        for key in sorted(a.keys() - set(DISCRETE)):
+            fields[key] = max(fields.get(key, 0.0), relative_difference(a[key], b.get(key)))
+    lines.append(f"{DETAIL}: largest relative difference per method")
+    lines += [f"  {method}: " + ", ".join(f"{key} {value:.3g}" for key, value in fields.items())
+              for method, fields in largest.items()]
+    return lines
+
+
 def main(argv):
     if len(argv) != 2:
         print("usage: python tools/compare_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
@@ -154,6 +196,8 @@ def main(argv):
     differing = differing_paths(*trees)
     for path in differing:
         print(path)
+    if DETAIL in differing and all(DETAIL in t for t in trees):
+        print("\n".join(detail_report(trees[0][DETAIL], trees[1][DETAIL])))
     if differing:
         print(f"{len(differing)} of {len(trees[0].keys() | trees[1].keys())} paths differ")
         return 1
