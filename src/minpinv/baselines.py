@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError, SolverError
 from .linalg import SvdFactors, check_spectrum, svd
 from .mpm import filtered_spectrum, solve_generalized_root, solve_level
-from .mpmi import discrepancy_target, head_residual_sq, mpmi_spectrum, spectral_report
+from .mpmi import discrepancy_target, mpmi_spectrum, spectral_report
 
 __all__ = [
     "tsvd_rank_by_matrix_error",
@@ -75,6 +75,24 @@ def _morozov_values(sigma, alpha):
     return (alpha + sigma * sigma) ** 2 / sigma ** 3
 
 
+def _alpha_residual_sq(values, sigma, head_sq, floor_sq):
+    """The squared residual as a function of alpha: the sum of
+    (1 - sigma_k / s_k)^2 head_sq[k] with s = ``values(sigma, alpha)``,
+    plus ``floor_sq``.
+
+    It equals ``head_residual_sq(sigma, s, head_sq) + floor_sq`` bit for
+    bit without that function's mask: over the numerical rank sigma > 0,
+    so s > 0 for alpha >= 0 and no index is truncated.  (Where s under- or
+    overflows, at Morozov's sigma^3 beyond about 1e+-100, both forms end in
+    "bracket exhausted".)
+    """
+    def residual_sq(alpha):
+        d = 1.0 - sigma / values(sigma, alpha)
+        return float(np.add.reduce(d * d * head_sq)) + floor_sq
+
+    return residual_sq
+
+
 def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
     """``values(sigma, alpha)`` over the numerical rank; without ``alpha``,
     the alpha whose squared residual is within 1e-10 ||u||^2 of the
@@ -90,11 +108,7 @@ def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
     sigma = factors.sigma[:rank]
     if alpha is None:
         target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
-        head_sq = coeffs[:rank] ** 2
-
-        def residual_sq(level):
-            return head_residual_sq(sigma, values(sigma, level), head_sq) + floor_sq
-
+        residual_sq = _alpha_residual_sq(values, sigma, coeffs[:rank] ** 2, floor_sq)
         breaks = np.append(sigma[::-1] ** 2, 1e6 * float(sigma[0]) ** 2)
         alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
                                           target, 1e-10 * u_norm_sq)

@@ -11,8 +11,12 @@ about two orders of magnitude higher.  The singular vectors come from that secon
 (``full_matrices=True``), several times faster than QR iteration with
 every rotation applied to U and V; its own singular values are
 discarded, so the rank, breakpoints and condition numbers all see the
-values-only spectrum.  All public entry points validate finiteness and
-shapes and raise :class:`~minpinv.errors.InputError` /
+values-only spectrum.  A solve reads the leading ``rank`` columns of U
+and V; :attr:`SvdFactors.rank_block` keeps them as compact C-contiguous
+copies, built at the first solve, so that ``U_r^T u``, the floor
+``u - U_r h`` and ``V_r x`` stream 8 r (m + n) bytes rather than rows
+of the full m x m and n x n arrays.  All public entry points validate
+finiteness and shapes and raise :class:`~minpinv.errors.InputError` /
 :class:`~minpinv.errors.SolverError`.
 """
 
@@ -79,11 +83,13 @@ class SvdFactors:
     :func:`svd` takes ``sigma`` from the values-only call of
     ``numpy.linalg.svd`` (dqds) and ``u`` / ``v`` from its full-vector
     call (divide and conquer); see the module docstring.  Solves read only
-    the leading columns (:meth:`project_rhs`); U and V stay full so that
-    reports and checks can still reach the complement of the range.
+    the leading ``rank`` columns, from :attr:`rank_block`, and past the
+    rank (mpm survivors) slice U and V; both stay full so that reports and
+    checks can still reach the complement of the range.
     ``rank_tolerance >= 0`` fixes the numerical rank: #{k : sigma_k > tol};
     ``svd(a, rank_tolerance=tol)`` sets it.  Construction checks all of
-    this once (InputError); ``rank`` and the quartic filters are cached.
+    this once (InputError); ``rank``, the rank block and the quartic
+    filters are cached.
     """
 
     u: np.ndarray
@@ -107,6 +113,15 @@ class SvdFactors:
     @cached_property
     def rank(self):
         return int(np.sum(self.sigma > self.rank_tolerance))
+
+    @cached_property
+    def rank_block(self):
+        """``(U[:, :rank], V[:, :rank])`` as read-only C-contiguous arrays:
+        the slice itself where it already is (U at rank = m, V at rank = n),
+        else a copy.  The copies run the same BLAS kernels as the strided
+        slices, so every result is bit-identical; they cost at most
+        8 rank (m + n) bytes."""
+        return _freeze(self.u[:, : self.rank]), _freeze(self.v[:, : self.rank])
 
     @cached_property
     def quartic(self):
@@ -136,7 +151,8 @@ class SvdFactors:
             raise InputError(
                 f"right-hand side length {u.shape[0]} does not match m={self.u.shape[0]}"
             )
-        basis = self.u[:, : self.rank if width is None else width]
+        width = self.rank if width is None else width
+        basis = self.rank_block[0] if width == self.rank else self.u[:, :width]
         head = basis.T @ u
         full = basis.shape[1] == u.shape[0]
         return np.append(head, 0.0 if full else np.linalg.norm(u - basis @ head))

@@ -127,8 +127,9 @@ def spectral_report(factors, coeffs, method, s, parameter, jump_root=False):
     resid_sq = head_residual_sq(factors.sigma[:r], s, head * head)
     resid_sq += float(np.sum(coeffs[r:] ** 2))
     floor = coeffs[factors.rank:]
+    basis = factors.rank_block[1] if r == factors.rank else factors.v[:, :r]
     return SolveReport(
-        solution=factors.v[:, :r] @ np.divide(head, s, out=np.zeros(r), where=s > 0.0),
+        solution=basis @ np.divide(head, s, out=np.zeros(r), where=s > 0.0),
         method=method,
         parameter=parameter,
         effective_rank=int(np.sum(s > 0.0)),

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from minpinv.experiments import build_poisson
+import oracles
+from minpinv.experiments import build_poisson, perturb_rhs
 from minpinv.linalg import svd
 
 FULL_SCALE = os.environ.get("MINPINV_FULL_SCALE", "") == "1"
@@ -42,6 +43,17 @@ def full_problem():
 @pytest.fixture(scope="session")
 def full_factors(full_problem):
     return svd(full_problem.matrix)
+
+
+@pytest.fixture(scope="session")
+def projection_cases():
+    """(factors, right-hand side) pairs whose numerical rank is below m:
+    the 299x301 model problem (rank 198) and a random rank-deficient one."""
+    rng = np.random.default_rng(7)
+    problem = build_poisson(299, 301, 0.1)
+    deficient = oracles.rank_matrix(rng, 30, 24, 11)
+    return [(svd(problem.matrix), perturb_rhs(problem.exact_rhs, 0.05, 0)),
+            (svd(deficient), rng.standard_normal(30))]
 
 
 @pytest.fixture

@@ -9,8 +9,11 @@ import minpinv.baselines
 import oracles
 from minpinv.baselines import (
     METHODS,
+    _alpha_residual_sq,
     _alpha_spectrum,
     _coeff_tails,
+    _morozov_values,
+    _tikhonov_values,
     solve,
     tsvd_rank_by_matrix_error,
 )
@@ -18,7 +21,7 @@ from minpinv.errors import InputError, SolverError
 from minpinv.experiments import perturb_rhs
 from minpinv.linalg import spectrum_cond, svd
 from minpinv.mpm import solve_generalized_root, spectrum_distance_sq
-from minpinv.mpmi import discrepancy_target
+from minpinv.mpmi import discrepancy_target, head_residual_sq
 
 # Median residual evaluations per tr / morozov desk solve (6 noise levels
 # x seeds 0-3) with the breakpoint root finder; the log-alpha bisection
@@ -345,6 +348,21 @@ class TestDiscrepancyAlpha:
                 solve(desk_factors, u, method, delta_abs=delta * norm)
         assert len(counts) == 24
         assert np.median(counts) <= 2 * DESK_ALPHA_EVALS[method]
+
+    @pytest.mark.parametrize("values", [_tikhonov_values, _morozov_values],
+                             ids=["tr", "morozov"])
+    def test_residual_is_the_masked_sum_bit_for_bit(self, values, projection_cases):
+        # the root finder's evaluator drops head_residual_sq's mask, which
+        # the rank block never needs; the finder evaluates f(0) too
+        for f, u in projection_cases:
+            sigma = f.sigma[: f.rank]
+            coeffs = f.project_rhs(u)
+            head_sq, floor_sq = coeffs[: f.rank] ** 2, float(np.sum(coeffs[f.rank:] ** 2))
+            residual_sq = _alpha_residual_sq(values, sigma, head_sq, floor_sq)
+            grid = np.geomspace(1e-3 * sigma[-1] ** 2, 1e6 * sigma[0] ** 2, 50)
+            for alpha in [0.0, *grid]:
+                s = values(sigma, alpha)
+                assert residual_sq(alpha) == head_residual_sq(sigma, s, head_sq) + floor_sq
 
     def test_missed_tolerance_is_an_error(self):
         # the residual jumps from 0 to 4 at alpha = 1/2, over the target 1:

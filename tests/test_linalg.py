@@ -204,17 +204,6 @@ class TestMixedDrivers:
             assert np.sum(coeffs[f.rank:] ** 2) == pytest.approx(direct, rel=1e-10)
 
 
-@pytest.fixture(scope="module")
-def projection_cases():
-    """(factors, right-hand side) pairs whose numerical rank is below m:
-    the 299x301 model problem (rank 198) and a random rank-deficient one."""
-    rng = np.random.default_rng(7)
-    problem = build_poisson(299, 301, 0.1)
-    deficient = oracles.rank_matrix(rng, 30, 24, 11)
-    return [(svd(problem.matrix), perturb_rhs(problem.exact_rhs, 0.05, 0)),
-            (svd(deficient), rng.standard_normal(30))]
-
-
 class TestProjectRhs:
     """Coordinates on the rank block plus one floor coordinate."""
 
@@ -247,12 +236,16 @@ class TestProjectRhs:
 
     def test_mpm_survivors_past_the_rank(self, projection_cases):
         # a budget far below the energy past the rank keeps indices past it
-        # alive; the solve must then project onto those columns too
+        # alive; the solve must then project onto those columns too, through
+        # the full U and V rather than the rank block
         for f, u in projection_cases:
             positive = f.sigma[f.sigma > 0.0]
             h = 1e-3 * float(np.linalg.norm(positive[f.rank:]))
             report = solve(f, u, "mpm", h=h)
             assert report.effective_rank > f.rank
+            width = report.effective_rank
+            np.testing.assert_array_equal(f.project_rhs(u, width)[:-1],
+                                          f.u[:, :width].T @ u)
             # reference from the full U^T u and the whole positive spectrum
             level, _ = solve_level(h, f)
             s = filtered_spectrum(positive, level)
@@ -266,6 +259,43 @@ class TestProjectRhs:
             assert report.residual_floor == pytest.approx(
                 np.linalg.norm(full[f.rank:]), rel=1e-12)
             assert report.effective_rank == int(np.sum(s > 0.0))
+
+
+class TestRankBlock:
+    """The leading rank columns of U and V, kept compact for solves."""
+
+    def test_equals_the_slices(self, projection_cases, desk_factors):
+        for f, _ in projection_cases + [(desk_factors, None)]:
+            u_r, v_r = f.rank_block
+            np.testing.assert_array_equal(u_r, f.u[:, : f.rank])
+            np.testing.assert_array_equal(v_r, f.v[:, : f.rank])
+            for block in (u_r, v_r):
+                assert block.flags.c_contiguous
+                assert not block.flags.writeable
+            assert f.rank_block is f.rank_block
+
+    def test_no_copy_of_a_contiguous_slice(self, desk_factors):
+        # at the desk rank = m, so the rank block of U is U itself; V is
+        # 201 x 201 and its 199 leading columns are a copy
+        f = desk_factors
+        assert f.rank == f.u.shape[0] < f.v.shape[0]
+        u_r, v_r = f.rank_block
+        assert np.shares_memory(u_r, f.u)
+        assert not np.shares_memory(v_r, f.v)
+
+    def test_solves_are_bit_identical_to_the_slices(self, projection_cases,
+                                                    desk_factors, desk_problem):
+        # the compact copies run the BLAS kernels of the strided slices
+        cases = projection_cases + [
+            (desk_factors, perturb_rhs(desk_problem.exact_rhs, 0.05, 0))]
+        for f, u in cases:
+            u_r, v_r = f.u[:, : f.rank], f.v[:, : f.rank]
+            head = u_r.T @ u
+            np.testing.assert_array_equal(f.project_rhs(u)[:-1], head)
+            if f.rank < f.u.shape[0]:
+                assert f.project_rhs(u)[-1] == np.linalg.norm(u - u_r @ head)
+            report = solve(f, u, "tsvd", rank=f.rank)
+            np.testing.assert_array_equal(report.solution, v_r @ (head / f.sigma[: f.rank]))
 
 
 class TestApplyFilteredPinv:
