@@ -107,6 +107,13 @@ def _distance_shift(y):
     return y                # x - 1
 
 
+def suffix_sums(weights):
+    """tails[k] = sum of weights[k:] for k = 0 .. len(weights), summed from the end."""
+    tails = np.zeros(len(weights) + 1)
+    np.cumsum(weights[::-1], out=tails[-2::-1])
+    return tails
+
+
 class QuarticFilter:
     """The quartic filter over one nonincreasing spectrum, set up once.
 
@@ -162,9 +169,8 @@ class QuarticFilter:
     def _level_sum(self, weights, shift):
         """``(f, tails)``: f(level) = sum_k weights_k shift(y_k)**2 over the
         kept indices plus weights_k for every truncated one, and tails the
-        suffix sums of ``weights``, which may run past the spectrum."""
-        tails = np.zeros(len(weights) + 1)
-        np.cumsum(weights[::-1], out=tails[-2::-1])
+        ``suffix_sums`` of ``weights``, which may run past the spectrum."""
+        tails = suffix_sums(weights)
         tails_list = tails.tolist()
 
         def f(level):

@@ -1,22 +1,25 @@
 """Baseline regularizers and the one method table behind every solve.
 
-Every method picks one parameter and yields an effective spectrum s over
-the leading singular indices; :func:`~minpinv.mpmi.spectral_report`
-turns it into the solution z = V (c / s) and its
-:class:`~minpinv.mpmi.SolveReport`.  The baselines are truncated SVD
-(s_k = sigma_k up to the rank), Tikhonov (s_k = (alpha + sigma_k^2) /
-sigma_k) and a Morozov variant (s_k = (alpha + sigma_k^2)^2 / sigma_k^3);
-:func:`solve` dispatches between them and the quartic filters.
+Every method picks one parameter (``choose``, from the method's bound)
+and yields an effective spectrum s over the leading singular indices at
+it (``spectrum``); :func:`~minpinv.mpmi.spectral_report` turns s into the
+solution z = V (c / s) and its :class:`~minpinv.mpmi.SolveReport`.  mpmi,
+tr and morozov choose by one :func:`~minpinv.mpmi.discrepancy_root`.  The
+baselines are truncated SVD (s_k = sigma_k up to the rank), Tikhonov
+(s_k = (alpha + sigma_k^2) / sigma_k) and a Morozov variant (s_k = (alpha
++ sigma_k^2)^2 / sigma_k^3); :func:`solve` dispatches between them and
+the quartic filters.
 """
 
 from functools import partial
 
 import numpy as np
 
+from ._kernels import suffix_sums
 from .errors import InputError, SolverError
 from .linalg import SvdFactors, check_spectrum, svd
-from .mpm import filtered_spectrum, solve_generalized_root, solve_level
-from .mpmi import discrepancy_target, mpmi_spectrum, spectral_report
+from .mpm import filtered_spectrum, solve_level
+from .mpmi import discrepancy_root, discrepancy_target, spectral_report
 
 __all__ = [
     "tsvd_rank_by_matrix_error",
@@ -26,25 +29,21 @@ __all__ = [
 ]
 
 
-def _coeff_tails(coeffs):
-    """tails[r] = sum of squared coefficients past index r (0-based rank)."""
-    sq = coeffs * coeffs
-    return np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
+def _tsvd_rank(factors, coeffs, delta_abs):
+    """The smallest rank, at least 1, whose coefficient tail fits the
+    discrepancy target; the numerical rank when none does."""
+    target, _, _ = discrepancy_target(coeffs, factors.rank, delta_abs)
+    fits = np.flatnonzero(suffix_sums(coeffs * coeffs)[: factors.rank + 1] <= target)
+    return (max(int(fits[0]), 1) if fits.size else factors.rank), False
 
 
-def _tsvd_spectrum(factors, coeffs, delta_abs=None, rank=None):
-    """sigma_k for k below the rank, 0 past it; without ``rank``, the
-    smallest rank whose coefficient tail fits the discrepancy target."""
-    if rank is None:
-        target, _, _ = discrepancy_target(coeffs, factors.rank, delta_abs)
-        fits = np.flatnonzero(_coeff_tails(coeffs)[: factors.rank + 1] <= target)
-        rank = max(int(fits[0]), 1) if fits.size else factors.rank
+def _tsvd_spectrum(factors, rank):
+    """sigma_k for k below ``rank``, 0 past it, over the numerical rank."""
     if not 1 <= rank <= factors.rank:
         raise InputError(f"truncation rank {rank} outside 1..{factors.rank}")
-    rank = int(rank)
     s = np.zeros(factors.rank)
     s[:rank] = factors.sigma[:rank]
-    return s, rank, False
+    return s
 
 
 def tsvd_rank_by_matrix_error(sigma, matrix_error):
@@ -57,7 +56,7 @@ def tsvd_rank_by_matrix_error(sigma, matrix_error):
     sigma = check_spectrum(sigma)
     if not matrix_error > 0.0:
         raise InputError("matrix error bound must be positive")
-    tails = _coeff_tails(sigma)
+    tails = suffix_sums(sigma * sigma)
     if matrix_error * matrix_error >= tails[0]:
         raise SolverError(
             "zero-rank truncation",
@@ -75,65 +74,51 @@ def _morozov_values(sigma, alpha):
     return (alpha + sigma * sigma) ** 2 / sigma ** 3
 
 
-def _alpha_residual_sq(values, sigma, head_sq, floor_sq):
-    """The squared residual as a function of alpha: the sum of
-    (1 - sigma_k / s_k)^2 head_sq[k] with s = ``values(sigma, alpha)``,
-    plus ``floor_sq``.
+def _alpha_curve(values, factors, coeffs):
+    """The squared residual in alpha for s = ``values(sigma, alpha)``, as
+    ``head_residual_sq`` plus the floor, bit for bit without the mask (s > 0
+    over the rank for alpha >= 0).  It is continuous and increasing, so the
+    ascending sigma_k^2 and 1e6 sigma_1^2 bracket its root with zero jumps.
+    (Where Morozov's sigma^3 leaves float range, near 1e+-100, the root
+    finder says "bracket exhausted".)"""
+    rank = factors.rank
+    sigma = factors.sigma[:rank]
+    head_sq = coeffs[:rank] ** 2
+    floor_sq = float(np.add.reduce(coeffs[rank:] ** 2))   # np.sum without its wrapper
 
-    It equals ``head_residual_sq(sigma, s, head_sq) + floor_sq`` bit for
-    bit without that function's mask: over the numerical rank sigma > 0,
-    so s > 0 for alpha >= 0 and no index is truncated.  (Where s under- or
-    overflows, at Morozov's sigma^3 beyond about 1e+-100, both forms end in
-    "bracket exhausted".)
-    """
     def residual_sq(alpha):
         d = 1.0 - sigma / values(sigma, alpha)
         return float(np.add.reduce(d * d * head_sq)) + floor_sq
 
-    return residual_sq
+    # sigma_1 of the whole spectrum, so that at rank 0 the target raises
+    breaks = np.append(sigma[::-1] ** 2, 1e6 * float(factors.sigma[0]) ** 2)
+    return residual_sq, breaks, np.zeros(len(breaks)), None
 
 
-def _alpha_spectrum(values, factors, coeffs, delta_abs=None, alpha=None):
-    """``values(sigma, alpha)`` over the numerical rank; without ``alpha``,
-    the alpha whose squared residual is within 1e-10 ||u||^2 of the
-    discrepancy target.
-
-    The residual is continuous and increasing in alpha, so
-    :func:`~minpinv.mpm.solve_generalized_root` finds it with zero jumps,
-    bracketing it between the ascending sigma_k^2 and 1e6 sigma_1^2.  Raises
-    "bracket exhausted" when the target lies above the upper end or the
-    bracket closes on adjacent floats short of the tolerance.
-    """
-    rank = factors.rank
-    sigma = factors.sigma[:rank]
-    if alpha is None:
-        target, floor_sq, u_norm_sq = discrepancy_target(coeffs, rank, delta_abs)
-        residual_sq = _alpha_residual_sq(values, sigma, coeffs[:rank] ** 2, floor_sq)
-        breaks = np.append(sigma[::-1] ** 2, 1e6 * float(sigma[0]) ** 2)
-        alpha, _ = solve_generalized_root(residual_sq, breaks, np.zeros(len(breaks)),
-                                          target, 1e-10 * u_norm_sq)
-    return values(sigma, alpha), float(alpha), False
+def _alpha_method(values):
+    """tr's or morozov's METHODS entry, for s = ``values(sigma, alpha)``."""
+    return (partial(discrepancy_root, partial(_alpha_curve, values), 1e-10),
+            lambda factors, alpha: values(factors.sigma[: factors.rank], alpha),
+            ("delta_abs", "alpha"))
 
 
-def _mpm_spectrum(factors, coeffs, h):
-    """Quartic-filtered singular values at the level that spends the matrix
-    error budget ``h``, over the rank or the survivors if they reach past
-    it (a tiny ``h``); the survivors are a prefix, as the breakpoints fall.
-    """
-    level, jumped = solve_level(h, factors)
+def _mpm_spectrum(factors, level):
+    """Quartic-filtered singular values at ``level``, over the rank or the
+    survivors (a prefix) if a tiny level keeps some past it."""
     s = filtered_spectrum(factors.sigma, level)
-    return s[: max(factors.rank, np.count_nonzero(s))], level, jumped
+    return s[: max(factors.rank, np.count_nonzero(s))]
 
 
-# method -> (chooser, accepted parameters).  A chooser maps (factors, coeffs,
-# one parameter) to (effective spectrum, chosen parameter, jump_root).  The
-# first accepted parameter is the method's noise or matrix error bound.
+# method -> (choose, spectrum, accepted parameters).  choose(factors, coeffs,
+# bound) picks (parameter, jump_root) from the first accepted parameter, the
+# method's noise or matrix error bound; spectrum(factors, parameter) is s.
 METHODS = {
-    "mpmi": (mpmi_spectrum, ("delta_abs",)),
-    "mpm": (_mpm_spectrum, ("h",)),
-    "tsvd": (_tsvd_spectrum, ("delta_abs", "rank")),
-    "tr": (partial(_alpha_spectrum, _tikhonov_values), ("delta_abs", "alpha")),
-    "morozov": (partial(_alpha_spectrum, _morozov_values), ("delta_abs", "alpha")),
+    "mpmi": (partial(discrepancy_root, lambda f, coeffs: f.quartic.residual_sq(coeffs), 1e-12),
+             lambda f, level: filtered_spectrum(f.quartic.sigma, level), ("delta_abs",)),
+    "mpm": (lambda f, coeffs, h: solve_level(h, f), _mpm_spectrum, ("h",)),
+    "tsvd": (_tsvd_rank, _tsvd_spectrum, ("delta_abs", "rank")),
+    "tr": _alpha_method(_tikhonov_values),
+    "morozov": _alpha_method(_morozov_values),
 }
 
 
@@ -153,15 +138,16 @@ def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
 
     ``a`` is the matrix or its precomputed :class:`SvdFactors`.  Exactly
     one parameter that the method accepts must be given: ``delta_abs``,
-    the absolute noise bound on ``u`` (the method's own parameter is then
-    chosen by the discrepancy principle), ``rank`` (tsvd), ``alpha`` (tr,
-    morozov) or ``h``, the matrix error bound of mpm.  Which parameter was
-    given and its sign (alpha's finiteness, rank's type) are checked before
-    anything is factorized; the method's chooser checks what needs factors.
+    the absolute noise bound on ``u``, or ``h``, mpm's matrix error bound,
+    from which the method's ``choose`` picks its parameter (by the
+    discrepancy principle for ``delta_abs``); or ``rank`` (tsvd, an int) or
+    ``alpha`` (tr, morozov, a float) itself.  The method's ``spectrum`` at
+    the parameter gives the solution.  The parameter's name, sign, alpha's
+    finiteness and rank's type are checked before anything is factorized.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
-    chooser, accepted = METHODS[method]
+    choose, spectrum, accepted = METHODS[method]
     given = {name: value for name, value in (
         ("delta_abs", delta_abs), ("rank", rank), ("alpha", alpha), ("h", h),
     ) if value is not None}
@@ -177,7 +163,9 @@ def solve(a, u, method, *, delta_abs=None, rank=None, alpha=None, h=None):
                          else "matrix error bound must be positive")
     factors = a if isinstance(a, SvdFactors) else svd(a)
     coeffs = factors.project_rhs(u)
-    s, parameter, jumped = chooser(factors, coeffs, **given)
+    parameter, jumped = (choose(factors, coeffs, value) if name == accepted[0]
+                         else ((int if name == "rank" else float)(value), False))
+    s = spectrum(factors, parameter)
     if len(s) > factors.rank:   # mpm survivors past the rank; see _mpm_spectrum
         coeffs = factors.project_rhs(u, len(s))
     return spectral_report(factors, coeffs, method, s, parameter, jumped)

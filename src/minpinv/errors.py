@@ -14,7 +14,7 @@ class SolverError(RuntimeError):
 
     Known names: "noise dominates signal", "error level exceeds matrix
     energy", "bracket exhausted", "zero-rank truncation", "undefined
-    condition number", "factorization failed".
+    condition number", "spectrum overflow", "factorization failed".
     """
 
     def __init__(self, name, detail=""):

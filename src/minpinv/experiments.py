@@ -314,7 +314,7 @@ def run_experiment(config, problem=None, factors=None):
                     # the noise bound goes in as the method's first parameter;
                     # for mpm it doubles as the matrix error budget (the
                     # matrix itself is exact here)
-                    bound = METHODS[method][1][0]
+                    bound = METHODS[method][2][0]
                     report = solve(factors, u_delta, method, **{bound: delta * norm_rhs})
                     curve = None
                     if config.curve_points > 0 and method == "mpmi":

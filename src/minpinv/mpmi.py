@@ -9,7 +9,8 @@ sigma_k**4, and 0 (truncation) past it.  x_k is left-continuous in h and
 The filter level h is chosen so that the solution residual matches the
 noise level (discrepancy principle): the squared residual is monotone
 and left-continuous in h, so the equation has a generalized root that
-may land on a breakpoint (a "jump root").  Inflation strictly shrinks
+may land on a breakpoint (a "jump root"); tr and morozov share its
+:func:`discrepancy_root` with their own curves.  Inflation strictly shrinks
 the working spectrum's extreme-value ratio, so the effective operator
 is better conditioned than the original matrix on the surviving block.
 At a jump root the last survivor is inflated by exactly x_r = 3/2, so
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import InputError, SolverError
 from .linalg import spectrum_cond
-from .mpm import filtered_spectrum, solve_generalized_root
+from .mpm import solve_generalized_root
 
 __all__ = [
     "DiscrepancyCurve",
@@ -34,7 +35,7 @@ __all__ = [
     "head_residual_sq",
     "spectral_report",
     "discrepancy_target",
-    "mpmi_spectrum",
+    "discrepancy_root",
 ]
 
 
@@ -117,11 +118,12 @@ def spectral_report(factors, coeffs, method, s, parameter, jump_root=False):
     ``coeffs`` come from :meth:`~minpinv.linalg.SvdFactors.project_rhs`
     over at least the numerical rank and r = len(s) columns.  ``s`` covers
     the leading r indices; s_k = 0 truncates index k and every index past
-    r is truncated.  The
-    residual, effective rank #(s > 0), condition number max/min(s > 0)
-    and residual floor all come from ``coeffs``, with no second
-    projection.
+    r is truncated.  The residual, effective rank #(s > 0), condition
+    number max/min(s > 0) and residual floor all come from ``coeffs``,
+    with no second projection.  A non-finite s_k raises "spectrum overflow".
     """
+    if len(s) and not s.max() < np.inf:   # s >= 0: max(s) is finite iff every s_k is
+        raise SolverError("spectrum overflow", f"{method} at parameter {parameter!r}")
     r = len(s)
     head = coeffs[:r]
     resid_sq = head_residual_sq(factors.sigma[:r], s, head * head)
@@ -140,16 +142,12 @@ def spectral_report(factors, coeffs, method, s, parameter, jump_root=False):
     )
 
 
-def mpmi_spectrum(factors, coeffs, delta_abs):
-    """Effective spectrum sigma_k x_k(h) over the numerical rank, at the
-    filter level h that the discrepancy principle picks for ``coeffs``.
-
-    Returns ``(s, level, jumped)``.  Raises "noise dominates signal" when
-    the target reaches the plateau ||u||^2.
-    """
-    quartic = factors.quartic
+def discrepancy_root(curve, rtol, factors, coeffs, delta_abs):
+    """``(parameter, jumped)`` where the squared residual ``curve(factors,
+    coeffs) = (f, breaks, jumps, bounds)`` meets the discrepancy target,
+    by :func:`~minpinv.mpm.solve_generalized_root` within ``rtol`` ||u||^2.
+    The curve is built first: at numerical rank 0 a method with no curve
+    raises its InputError, not "noise dominates signal"."""
+    f, breaks, jumps, bounds = curve(factors, coeffs)
     target, _, u_norm_sq = discrepancy_target(coeffs, factors.rank, delta_abs)
-    f, breaks, jumps, bounds = quartic.residual_sq(coeffs)
-    level, jumped = solve_generalized_root(f, breaks, jumps, target,
-                                           tol_abs=1e-12 * u_norm_sq, bounds=bounds)
-    return filtered_spectrum(quartic.sigma, level), level, jumped
+    return solve_generalized_root(f, breaks, jumps, target, rtol * u_norm_sq, bounds=bounds)

@@ -1,27 +1,29 @@
 """Truncated SVD, Tikhonov and Morozov-variant baselines."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minpinv.baselines
+import minpinv.mpmi
 import oracles
 from minpinv.baselines import (
     METHODS,
-    _alpha_residual_sq,
-    _alpha_spectrum,
-    _coeff_tails,
+    _alpha_curve,
     _morozov_values,
     _tikhonov_values,
     solve,
     tsvd_rank_by_matrix_error,
 )
+from minpinv._kernels import suffix_sums
 from minpinv.errors import InputError, SolverError
 from minpinv.experiments import perturb_rhs
 from minpinv.linalg import spectrum_cond, svd
 from minpinv.mpm import solve_generalized_root, spectrum_distance_sq
-from minpinv.mpmi import discrepancy_target, head_residual_sq
+from minpinv.mpmi import discrepancy_root, discrepancy_target, head_residual_sq
 
 # Median residual evaluations per tr / morozov desk solve (6 noise levels
 # x seeds 0-3) with the breakpoint root finder; the log-alpha bisection
@@ -82,14 +84,14 @@ class TestRankScansMatchLoops:
             target, _, _ = discrepancy_target(coeffs, f.rank, delta_abs)
         except SolverError:
             assume(False)
-        expected = oracles.tsvd_rank_scan(_coeff_tails(coeffs), f.rank, target)
+        expected = oracles.tsvd_rank_scan(suffix_sums(coeffs * coeffs), f.rank, target)
         assert solve(f, u, "tsvd", delta_abs=delta_abs).parameter == expected
 
     @settings(max_examples=200, deadline=None)
     @given(sigma=spectra,
            matrix_error=st.one_of(st.integers(1, 5).map(float), st.floats(1e-3, 5.0)))
     def test_matrix_error_rank(self, sigma, matrix_error):
-        tails = _coeff_tails(sigma)
+        tails = suffix_sums(sigma * sigma)
         assume(matrix_error * matrix_error < tails[0])
         expected = oracles.matrix_error_rank_scan(tails, matrix_error * matrix_error)
         assert tsvd_rank_by_matrix_error(sigma, matrix_error) == expected
@@ -171,6 +173,14 @@ class TestTsvdSolve:
         report = solve(f, np.ones(3), "tsvd", rank=np.int64(2))
         assert report.parameter == 2
         assert type(report.parameter) is int
+
+    @pytest.mark.parametrize("method", ["tr", "morozov"])
+    @pytest.mark.parametrize("alpha", [2, np.float32(0.5)], ids=["int", "float32"])
+    def test_explicit_alpha_is_a_float(self, method, alpha):
+        f = svd(np.diag([3.0, 2.0, 1.0]))
+        report = solve(f, np.ones(3), method, alpha=alpha)
+        assert report.parameter == alpha
+        assert type(report.parameter) is float
 
 
 class TestTikhonov:
@@ -340,7 +350,7 @@ class TestDiscrepancyAlpha:
             counts.append(len(calls))
             return result
 
-        monkeypatch.setattr(minpinv.baselines, "solve_generalized_root", counting)
+        monkeypatch.setattr(minpinv.mpmi, "solve_generalized_root", counting)
         norm = float(np.linalg.norm(desk_problem.exact_rhs))
         for delta in DESK_DELTAS:
             for seed in range(4):
@@ -358,7 +368,7 @@ class TestDiscrepancyAlpha:
             sigma = f.sigma[: f.rank]
             coeffs = f.project_rhs(u)
             head_sq, floor_sq = coeffs[: f.rank] ** 2, float(np.sum(coeffs[f.rank:] ** 2))
-            residual_sq = _alpha_residual_sq(values, sigma, head_sq, floor_sq)
+            residual_sq = _alpha_curve(values, f, coeffs)[0]
             grid = np.geomspace(1e-3 * sigma[-1] ** 2, 1e6 * sigma[0] ** 2, 50)
             for alpha in [0.0, *grid]:
                 s = values(sigma, alpha)
@@ -372,7 +382,7 @@ class TestDiscrepancyAlpha:
 
         factors, coeffs = svd(np.diag([1.0])), np.array([2.0, 0.0])
         with pytest.raises(SolverError, match="bracket exhausted"):
-            _alpha_spectrum(step, factors, coeffs, delta_abs=1.0)
+            discrepancy_root(partial(_alpha_curve, step), 1e-10, factors, coeffs, 1.0)
 
     def test_target_above_the_upper_end(self):
         # at alpha = 1e6 sigma_1^2 the residual is still 4 (1 - 1e-6)^2,
@@ -429,7 +439,7 @@ class TestSolveDispatch:
             np.testing.assert_array_equal(one.solution, two.solution)
 
 
-METHOD_PARAMETERS = [(method, name) for method, (_, accepted) in METHODS.items()
+METHOD_PARAMETERS = [(method, name) for method, (_, _, accepted) in METHODS.items()
                      for name in accepted]
 
 
@@ -441,6 +451,14 @@ class TestNanParameters:
         a = rng.standard_normal((5, 4)) + 4.0 * np.eye(5, 4)
         with pytest.raises(InputError):
             solve(a, rng.standard_normal(5), method, **{name: float("nan")})
+
+    @pytest.mark.parametrize("method, alpha", [("morozov", 1e200), ("tr", 1.7e308)])
+    def test_overflowing_spectrum_is_an_error(self, method, alpha):
+        # a finite alpha whose spectrum leaves float range would report a NaN
+        # or infinite condition number over a zeroed solution entry
+        f = svd(np.diag([3.0, 2.0, 1.0, 0.5]))
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="spectrum overflow"):
+            solve(f, np.array([1.0, 2.0, 3.0, 4.0]), method, alpha=alpha)
 
     @pytest.mark.parametrize("method", ["tr", "morozov"])
     def test_infinite_alpha_rejected(self, method, rng):

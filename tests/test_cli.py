@@ -163,6 +163,18 @@ class TestSolve:
         assert code == 3
         assert "noise dominates signal" in err
 
+    def test_overflowing_spectrum_exit_3(self, system_files, capsys):
+        # the report would carry a NaN condition number, which is not JSON
+        _, _, matrix_path, rhs_path = system_files
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(
+                capsys, "solve", "--matrix", matrix_path, "--rhs", rhs_path,
+                "--method", "morozov", "--alpha", "1e200",
+            )
+        assert code == 3
+        assert out == ""
+        assert "spectrum overflow" in err
+
     def test_desk_scale_report_matches_library(self, tmp_path, desk_problem,
                                                desk_factors, capsys):
         from minpinv.experiments import perturb_rhs

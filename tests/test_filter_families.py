@@ -8,7 +8,7 @@ merging.
 import numpy as np
 import pytest
 
-import minpinv.baselines
+import minpinv.mpmi
 import oracles
 from minpinv.baselines import solve
 from minpinv.errors import SolverError
@@ -99,17 +99,18 @@ class TestRepeatedSingularValues:
         factors = oracles.diag_factors([3.0, 2.0, 2.0, 2.0, 1.0, 0.5])
         calls = []
 
-        def recording(*args):
-            calls.append(args)
-            return solve_generalized_root(*args)
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return solve_generalized_root(*args, **kwargs)
 
-        monkeypatch.setattr(minpinv.baselines, "solve_generalized_root", recording)
+        monkeypatch.setattr(minpinv.mpmi, "solve_generalized_root", recording)
         for _ in range(100):
             u = rng.standard_normal(6)
             calls.clear()
             delta_abs = rng.uniform(0.05, 0.95) * float(np.linalg.norm(u))
             report = solve(factors, u, method, delta_abs=delta_abs)
-            (eval_fn, breaks, jumps, target, tol_abs), = calls
+            ((eval_fn, breaks, jumps, target, tol_abs), kwargs), = calls
+            assert kwargs == {"bounds": None}
             assert breaks.tolist().count(4.0) == 3
             merged = oracles.ascending_breakpoints_loop(breaks, jumps)
             alpha, _ = solve_generalized_root(eval_fn, *merged, target, tol_abs)

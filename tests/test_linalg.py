@@ -109,7 +109,7 @@ def test_bad_spectrum_fails_when_the_factors_are_built(method, bad):
     f = svd(np.diag([2.0, 1.0, 0.5]))
     sigma = {"rising": f.sigma[::-1], "negative": f.sigma * [1.0, 1.0, -1.0],
              "short": f.sigma[:2]}[bad]
-    parameter = {METHODS[method][1][0]: 0.1}
+    parameter = {METHODS[method][2][0]: 0.1}
     with pytest.raises(InputError, match="spectrum"):
         solve(SvdFactors(f.u, sigma, f.v, f.rank_tolerance), np.ones(3), method, **parameter)
 
@@ -175,7 +175,7 @@ class TestMixedDrivers:
         delta_abs = delta * np.linalg.norm(desk_problem.exact_rhs)
         for seed in range(2):
             u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
-            for method, (_, accepted) in METHODS.items():
+            for method, (_, _, accepted) in METHODS.items():
                 bound = {accepted[0]: delta_abs}
                 assert_same_report(solve(desk_factors, u, method, **bound),
                                    solve(ref_factors, u, method, **bound))

@@ -17,9 +17,14 @@ commands through ``minpinv.cli.main``:
 
 Both roots read the same input files, which this script writes with
 numpy alone.  Every file a command writes is kept, and so are its
-stdout, stderr and exit code.  The script exits 0 when the two trees
-match byte for byte, and 1 with the list of paths that differ or exist
-on one side only.  When ``desk/detail.json`` differs, it also says
+stdout, stderr and exit code, and the levels its root searches
+evaluate: ``streams/<command>.levels`` has one line per call of
+``minpinv.mpm.solve_generalized_root``, through any module's binding,
+with the hex of each level evaluated, in order.  Outputs can match byte
+for byte while a search took another path (a dropped bound costs
+evaluations, not bits); the levels files tell the two apart.  The script
+exits 0 when the two trees match byte for byte, and 1 with the list of
+paths that differ or exist on one side only.  When ``desk/detail.json`` differs, it also says
 whether the discrete fields of every run (``DISCRETE``) are identical
 and prints, per method, the largest relative difference of each numeric
 field, so a change that moves the levels by rounding alone reads as such.
@@ -101,21 +106,52 @@ def write_inputs(directory):
     return commands
 
 
+def record_levels():
+    """Replace every ``minpinv.*`` module binding of the root finder with
+    one that records the hex of each level it evaluates.  Returns the list
+    that receives one list of levels per call."""
+    import minpinv.mpm
+
+    root = minpinv.mpm.solve_generalized_root
+    calls = []
+
+    def recording(eval_fn, *args, **kwargs):
+        levels = []
+        calls.append(levels)
+
+        def recorded(level):
+            levels.append(float(level).hex())
+            return eval_fn(level)
+
+        return root(recorded, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minpinv."):
+            for attr, value in list(vars(module).items()):
+                if value is root:
+                    setattr(module, attr, recording)
+    return calls
+
+
 def run_commands(commands):
-    """Run each CLI command in this process, keeping its stdout, stderr and
-    exit code under ``streams/``.  Runs in the child, in its work dir."""
+    """Run each CLI command in this process, keeping its stdout, stderr,
+    exit code and evaluated levels under ``streams/``.  Runs in the child,
+    in its work dir."""
     from minpinv.cli import main
 
+    calls = record_levels()
     os.makedirs("streams")
     for name, argv in commands.items():
+        calls.clear()
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:   # argparse rejects a value
                 code = exc.code
+        levels = "".join(" ".join(call) + "\n" for call in calls)
         for suffix, text in (("stdout", out.getvalue()), ("stderr", err.getvalue()),
-                             ("code", f"{code}\n")):
+                             ("code", f"{code}\n"), ("levels", levels)):
             with open(os.path.join("streams", f"{name}.{suffix}"), "w",
                       encoding="utf-8") as fh:
                 fh.write(text)
