@@ -32,7 +32,13 @@ from .experiments import (
     run_experiment,
     table_csv,
 )
-from .linalg import frobenius_norm, spectrum_cond, svd
+from .linalg import (
+    default_rank_tolerance,
+    frobenius_norm,
+    numerical_rank,
+    singular_values,
+    spectrum_cond,
+)
 from .matio import (
     dump_matrix_csv,
     format_float,
@@ -80,8 +86,11 @@ def _cmd_solve(args):
         # the exact right side is unknown to a solver: scale by ||u||
         delta_abs = args.delta_rel * float(np.linalg.norm(rhs))
     try:
-        solve_report = solve(matrix, rhs, args.method, delta_abs=delta_abs,
-                             rank=args.rank, alpha=args.alpha, h=args.h)
+        # an overflowing spectrum is a SolverError from spectral_report, not
+        # a numpy warning on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            solve_report = solve(matrix, rhs, args.method, delta_abs=delta_abs,
+                                 rank=args.rank, alpha=args.alpha, h=args.h)
     except ParameterError as exc:
         given = [f for f in SOLVE_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
         accepted = [f for f, name in SOLVE_FLAGS.items() if name in exc.accepted]
@@ -122,19 +131,20 @@ def _cmd_pinv(args):
 
 def _cmd_svd_report(args):
     matrix = read_matrix(args.matrix)
-    factors = svd(matrix)
-    sigma = format_rows(factors.sigma[:, None])
-    lines = ["k,sigma", *(f"{k},{value}" for k, value in enumerate(sigma, start=1))]
+    sigma = singular_values(matrix)
+    tolerance = default_rank_tolerance(sigma, matrix.shape)
+    rank = numerical_rank(sigma, tolerance)
+    lines = ["k,sigma", *(f"{k},{value}" for k, value in
+                          enumerate(format_rows(sigma[:, None]), start=1))]
     payload = "\n".join(lines) + "\n"
     report = {
         "rows": matrix.shape[0],
         "cols": matrix.shape[1],
         "frobenius_norm": frobenius_norm(matrix),
-        "numerical_rank": factors.rank,
-        "rank_tolerance": factors.rank_tolerance,
-        "condition_number": spectrum_cond(factors.sigma[: factors.rank]),
-        "condition_number_full": spectrum_cond(factors.sigma)
-        if factors.sigma[-1] > 0.0 else None,
+        "numerical_rank": rank,
+        "rank_tolerance": tolerance,
+        "condition_number": spectrum_cond(sigma[:rank]),
+        "condition_number_full": spectrum_cond(sigma) if sigma[-1] > 0.0 else None,
     }
     _emit_report(report, payload, args.out)
     return 0

@@ -2,7 +2,8 @@
 
 The factorization makes two calls to ``numpy.linalg.svd``, which runs
 LAPACK's divide-and-conquer driver ``gesdd``.  The singular values come
-from the values-only call (``compute_uv=False``, JOBZ='N'): there
+from the values-only call, :func:`singular_values` (``compute_uv=False``,
+JOBZ='N'), which a caller that needs no singular vectors makes alone: there
 ``gesdd`` bidiagonalizes and ``dbdsdc`` hands the bidiagonal to
 ``dbdsqr``/``dlasq1``, the dqds iteration, which resolves the deep tail
 of graded spectra to about machine precision relative to sigma_1.  Run
@@ -74,6 +75,11 @@ def default_rank_tolerance(sigma, shape):
     return float(sigma[0]) * max(shape) * EPS
 
 
+def numerical_rank(sigma, tolerance):
+    """#{k : sigma_k > tolerance}."""
+    return int(np.sum(sigma > tolerance))
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Full orthogonal factors U (m x m), V (n x n) and singular values.
@@ -112,7 +118,7 @@ class SvdFactors:
 
     @cached_property
     def rank(self):
-        return int(np.sum(self.sigma > self.rank_tolerance))
+        return numerical_rank(self.sigma, self.rank_tolerance)
 
     @cached_property
     def rank_block(self):
@@ -164,24 +170,38 @@ def _freeze(a):
     return a
 
 
-def svd(a, rank_tolerance=None):
-    """Full SVD of a dense real matrix as :class:`SvdFactors`.
+def _lapack_svd(a, **kwargs):
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("factorization failed", str(exc)) from exc
 
-    sigma from ``numpy.linalg.svd(a, compute_uv=False)`` (``gesdd`` with
-    JOBZ='N', which runs ``dbdsqr``/``dlasq1``), U and V from
-    ``numpy.linalg.svd(a, full_matrices=True)``.
-    Deterministic for identical input bits.  Raises ``InputError`` for
-    non-finite or zero input or a negative ``rank_tolerance`` and
-    ``SolverError`` when the iteration fails to converge.
+
+def singular_values(a):
+    """Singular values of a dense real matrix, nonincreasing, without the
+    singular vectors: ``numpy.linalg.svd(a, compute_uv=False)`` (``gesdd``
+    with JOBZ='N', which runs ``dbdsqr``/``dlasq1``).  Raises
+    ``InputError`` for non-finite or zero input and ``SolverError`` when
+    the iteration fails to converge.
     """
     a = require_matrix(a)
     if not np.any(a):
         raise InputError("cannot factorize the zero matrix")
-    try:
-        sigma = np.linalg.svd(a, compute_uv=False)
-        u, _, vt = np.linalg.svd(a, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise SolverError("factorization failed", str(exc)) from exc
+    return _lapack_svd(a, compute_uv=False)
+
+
+def svd(a, rank_tolerance=None):
+    """Full SVD of a dense real matrix as :class:`SvdFactors`.
+
+    sigma from :func:`singular_values`, the values-only call, U and V
+    from ``numpy.linalg.svd(a, full_matrices=True)``.
+    Deterministic for identical input bits.  Raises ``InputError`` for
+    non-finite or zero input or a negative ``rank_tolerance`` and
+    ``SolverError`` when the iteration fails to converge.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    sigma = singular_values(a)
+    u, _, vt = _lapack_svd(a, full_matrices=True)
     if rank_tolerance is None:
         rank_tolerance = default_rank_tolerance(sigma, a.shape)
     return SvdFactors(_freeze(u), _freeze(sigma), _freeze(vt.T), float(rank_tolerance))

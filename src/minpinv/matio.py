@@ -13,6 +13,15 @@ parses each ``str`` with Python's own float parser, so the readers accept
 exactly the tokens ``float()`` accepts.  Only a failed conversion goes
 back token by token, to name the first bad token in the error.
 
+The MatrixMarket reader converts the value lines after the size line in
+that one call, as they stand, when there are exactly m*n of them: a file
+as :func:`write_matrix` writes it.  ``float()`` strips surrounding
+whitespace itself, and blank lines, ``%`` comments and lines holding two
+numbers fail to convert, so when that call succeeds no line would have
+been filtered.  Only a different count or a failed conversion runs the
+line filter (strip, drop blank and comment lines, count), then converts
+what is left.
+
 Vectors are stored as single-column matrices; the readers also accept
 single-row files.
 """
@@ -124,6 +133,27 @@ def dump_matrix_mm(a):
     return "\n".join(lines) + "\n"
 
 
+def _is_data(line):
+    """Whether ``line`` is neither blank nor a ``%`` comment."""
+    return line.strip()[:1] not in ("", "%")
+
+
+def _data_lines(lines):
+    """The stripped ``lines`` that are neither blank nor ``%`` comments."""
+    return [ln for ln in map(str.strip, lines) if ln and ln[0] != "%"]
+
+
+def _converted(lines, count):
+    """``lines`` as float64 in one conversion when there are ``count`` of
+    them and every one converts as it stands, else None."""
+    if len(lines) == count:
+        try:
+            return np.array(lines, dtype=np.float64)
+        except ValueError:
+            pass
+    return None
+
+
 def load_matrix_mm(text, where="matrixmarket input"):
     lines = text.splitlines()
     # read_matrix sniffs the header after leading whitespace, so skip blank lines
@@ -138,19 +168,21 @@ def load_matrix_mm(text, where="matrixmarket input"):
             f"{where}: unsupported MatrixMarket header {lines[first]!r} "
             "(need 'matrix array real general')"
         )
-    rest = [ln for ln in map(str.strip, lines[first + 1:])
-            if ln and ln[0] != "%"]
-    if not rest:
+    size = next((k for k in range(first + 1, len(lines)) if _is_data(lines[k])), None)
+    if size is None:
         raise InputError(f"{where} has no dimension line")
-    m, n = _shape(rest[0], None, where)
-    values = rest[1:]
-    if len(values) != m * n:
-        raise InputError(
-            f"{where}: expected {m * n} values, found {len(values)}"
-        )
+    m, n = _shape(lines[size].strip(), None, where)
+    del lines[: size + 1]
+    values = _converted(lines, m * n)
+    if values is None:
+        lines = _data_lines(lines)
+        if len(lines) != m * n:
+            raise InputError(
+                f"{where}: expected {m * n} values, found {len(lines)}"
+            )
+        values = _parse_floats(lines, where)
     # column-major values: read as the rows of A^T
-    return require_matrix(
-        np.ascontiguousarray(_parse_floats(values, where).reshape(n, m).T), where)
+    return require_matrix(np.ascontiguousarray(values.reshape(n, m).T), where)
 
 
 # ---------------------------------------------------------------------------

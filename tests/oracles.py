@@ -6,7 +6,8 @@ by numpy over one filtered cell at a time, spectral sums are
 plain Python loops, pseudoinverses come from numpy's SVD with its own
 cutoff, generalized roots are located by brute-force grid bracketing or
 by a linear breakpoint scan, truncation ranks by a loop over the tails,
-and matrix files are formatted one element at a time.  The package
+and matrix files are formatted, and MatrixMarket text read, one element
+at a time.  The package
 factorizes with numpy alone: its singular values come from the
 values-only ``numpy.linalg.svd`` (``gesdd`` with JOBZ='N', which runs
 dqds and is accurate in the deep tail) and its singular vectors from the
@@ -275,6 +276,29 @@ def dump_matrix_mm_scan(a):
         for i in range(m):
             lines.append(repr(float(a[i, j])))
     return "\n".join(lines) + "\n"
+
+
+def load_matrix_mm_scan(text, where="matrixmarket input"):
+    """The matrix of MatrixMarket array text whose first line is the
+    header, one line at a time: strip each line, drop blank and ``%``
+    lines, take the size line, then ``float()`` each value in column-major
+    order.  A bad count or value raises the package's message."""
+    kept = []
+    for line in text.splitlines()[1:]:
+        line = line.strip()
+        if line and not line.startswith("%"):
+            kept.append(line)
+    m, n = (int(d) for d in kept[0].split())
+    values = kept[1:]
+    if len(values) != m * n:
+        raise InputError(f"{where}: expected {m * n} values, found {len(values)}")
+    out = np.empty((m, n))
+    for k, token in enumerate(values):
+        try:
+            out[k % m, k // m] = float(token)
+        except ValueError:
+            raise InputError(f"cannot parse number {token!r} in {where}") from None
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,18 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oracles
 from minpinv import cli
 from minpinv.baselines import METHODS, solve
 from minpinv.cli import main
 from minpinv.experiments import ExperimentConfig, build_poisson, perturb_rhs, run_experiment
-from minpinv.linalg import svd
+from minpinv.linalg import frobenius_norm, spectrum_cond, svd
 from minpinv.matio import load_matrix_csv, read_matrix, write_matrix, write_vector
 from minpinv.mpm import spectrum_distance_sq
 
@@ -174,6 +177,19 @@ class TestSolve:
         assert code == 3
         assert out == ""
         assert "spectrum overflow" in err
+
+    def test_overflowing_spectrum_writes_only_the_error_line(self, system_files):
+        # the numpy overflow inside the spectrum is the CLI's to report, once
+        _, _, matrix_path, rhs_path = system_files
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "minpinv.cli", "solve", "--matrix", matrix_path,
+             "--rhs", rhs_path, "--method", "morozov", "--alpha", "1e200"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default"))
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == "error: spectrum overflow: morozov at parameter 1e+200\n"
 
     def test_desk_scale_report_matches_library(self, tmp_path, desk_problem,
                                                desk_factors, capsys):
@@ -378,6 +394,56 @@ class TestSvdReport:
         bad.write_text("gibberish")
         code, _, _ = run_cli(capsys, "svd-report", "--matrix", str(bad))
         assert code == 2
+
+    def test_zero_matrix_exit_2(self, tmp_path, capsys):
+        zero = tmp_path / "zero.csv"
+        write_matrix(zero, np.zeros((3, 2)))
+        code, out, err = run_cli(capsys, "svd-report", "--matrix", str(zero))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot factorize the zero matrix\n"
+
+    def test_computes_no_singular_vectors(self, tmp_path, rng, capsys, monkeypatch):
+        matrix_path = tmp_path / "a.mtx"
+        write_matrix(matrix_path, rng.standard_normal((6, 4)))
+        calls = []
+        numpy_svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            calls.append(kwargs)
+            return numpy_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(cli.np.linalg, "svd", recording)
+        code, _, _ = run_cli(capsys, "svd-report", "--matrix", str(matrix_path))
+        assert code == 0
+        assert calls == [{"compute_uv": False}]
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "desk"])
+    def test_report_is_built_from_svds_factors(self, tmp_path, capsys, desk_problem,
+                                               case):
+        if case == "desk":
+            a = desk_problem.matrix
+        else:
+            a = oracles.rank_matrix(np.random.default_rng(3), 9, 12, 4)
+        factors = svd(a)
+        if case == "rank_deficient":
+            assert factors.rank == 4
+        expected_csv = "k,sigma\n" + "".join(
+            f"{k},{value!r}\n" for k, value in enumerate(factors.sigma.tolist(), start=1))
+        expected = {
+            "rows": a.shape[0], "cols": a.shape[1], "frobenius_norm": frobenius_norm(a),
+            "numerical_rank": factors.rank, "rank_tolerance": factors.rank_tolerance,
+            "condition_number": spectrum_cond(factors.sigma[: factors.rank]),
+            "condition_number_full": spectrum_cond(factors.sigma)
+            if factors.sigma[-1] > 0.0 else None,
+        }
+        expected_json = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        matrix_path, out_path = tmp_path / "a.mtx", tmp_path / "spectrum.csv"
+        write_matrix(matrix_path, a)
+        assert run_cli(capsys, "svd-report", "--matrix", str(matrix_path)) == (
+            0, expected_csv, expected_json)
+        assert run_cli(capsys, "svd-report", "--matrix", str(matrix_path),
+                       "--out", str(out_path)) == (0, expected_json, "")
+        assert out_path.read_text() == expected_csv
 
 
 class TestExperiment:

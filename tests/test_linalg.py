@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from minpinv.baselines import METHODS, solve
-from minpinv.errors import InputError
+from minpinv.errors import InputError, SolverError
 from minpinv.experiments import build_poisson, perturb_rhs
 from minpinv.linalg import (
     EPS,
@@ -13,6 +13,7 @@ from minpinv.linalg import (
     assemble_filtered_matrix,
     assemble_filtered_pinv,
     frobenius_norm,
+    singular_values,
     spectrum_cond,
     svd,
 )
@@ -86,6 +87,25 @@ class TestSvdContract:
             svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
         with pytest.raises(InputError):
             svd(np.ones(4))
+
+    def test_singular_values_are_svds_sigma(self, rng, desk_problem, desk_factors):
+        a = rng.standard_normal((7, 5))
+        assert singular_values(a).tobytes() == svd(a).sigma.tobytes()
+        assert singular_values(desk_problem.matrix).tobytes() == desk_factors.sigma.tobytes()
+        nested = [[3.0, 0.0], [0.0, 2.0]]
+        assert singular_values(nested).tolist() == svd(nested).sigma.tolist()
+        for bad in (np.zeros((3, 3)), np.array([[np.nan, 1.0], [0.0, 1.0]]), np.ones(4)):
+            with pytest.raises(InputError):
+                singular_values(bad)
+
+    def test_lapack_failure_is_a_solver_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        for factorize in (singular_values, svd):
+            with pytest.raises(SolverError, match="factorization failed"):
+                factorize(np.eye(2))
 
     def test_rank_tolerance_override(self):
         f = svd(np.diag([5.0, 1e-13]))

@@ -287,6 +287,42 @@ def test_bulk_formats_match_element_loops_and_reload_bit_exact(a, fortran):
         assert back.tobytes() == a.tobytes()   # bit-exact, -0.0 included
 
 
+# Lines a MatrixMarket file may hold around its values, and value padding
+MM_JUNK = ["", "  ", "\t", "%", "% made elsewhere", "  % indented"]
+MM_PADS = ["", " ", "\t", " \t "]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                    elements=finite_floats),
+       bad=st.sampled_from([None, None, "1 2", "foo", ""]),   # "": a missing value
+       data=st.data())
+def test_mm_reader_matches_a_line_by_line_read(a, bad, data):
+    lines = dump_matrix_mm(a).splitlines()
+    values = st.integers(2, len(lines) - 1)
+    if bad is not None:
+        lines[data.draw(values, label="bad line")] = bad
+    for _ in range(data.draw(st.integers(0, 5), label="padded")):
+        k = data.draw(values, label="padded line")
+        lines[k] = data.draw(st.sampled_from(MM_PADS)) + lines[k] + data.draw(
+            st.sampled_from(MM_PADS))
+    for _ in range(data.draw(st.integers(0, 4), label="junk")):
+        lines.insert(data.draw(st.integers(1, len(lines)), label="junk at"),
+                     data.draw(st.sampled_from(MM_JUNK)))
+    end = data.draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+    text = end.join(lines) + end + data.draw(st.sampled_from(["", end, f"  {end}{end}"]))
+    try:
+        expected = oracles.load_matrix_mm_scan(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            load_matrix_mm(text)
+        assert str(got.value) == str(exc)
+    else:
+        back = load_matrix_mm(text)
+        assert back.flags.c_contiguous
+        assert back.tobytes() == expected.tobytes()
+
+
 class TestBulkParsing:
     """Valid files are parsed in bulk: the per-token parser runs only to
     name the bad token of a malformed file (a count, not a timing)."""
@@ -321,3 +357,32 @@ class TestBulkParsing:
         with pytest.raises(InputError, match="cannot parse number"):
             read_matrix(path)
         assert len(parse_calls) >= 1
+
+
+class TestMatrixMarketLineFilter:
+    """A file as write_matrix writes it converts in one call; only a file
+    with lines besides its m*n values goes through the line filter."""
+
+    @pytest.fixture
+    def filter_calls(self, monkeypatch):
+        calls = []
+        line_filter = minpinv.matio._data_lines
+
+        def counted(lines):
+            calls.append(len(lines))
+            return line_filter(lines)
+
+        monkeypatch.setattr(minpinv.matio, "_data_lines", counted)
+        return calls
+
+    def test_only_a_commented_file_is_filtered(self, tmp_path, rng, filter_calls):
+        a = rng.standard_normal((299, 301))
+        path = tmp_path / "a.mtx"
+        write_matrix(path, a)
+        assert read_matrix(path).tobytes() == a.tobytes()
+        assert filter_calls == []
+        lines = path.read_text().splitlines()
+        lines.insert(1000, "% between values")
+        path.write_text("\n".join(lines) + "\n")
+        assert read_matrix(path).tobytes() == a.tobytes()
+        assert filter_calls == [a.size + 1]

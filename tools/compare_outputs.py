@@ -12,8 +12,12 @@ commands through ``minpinv.cli.main``:
 - ``solve`` on a seeded 99x101 Poisson problem, read from CSV and from
   ``.mtx``, for every method with every parameter flag (rejected ones
   included), plus out-of-range values;
+- the in-range ``solve`` commands and ``pinv`` again on a copy of the
+  ``.mtx`` matrix with a comment line, blank lines and CRLF ends between
+  its values, which the MatrixMarket reader takes through its line
+  filter rather than its one-call conversion;
 - ``pinv --emit-matrix`` at two budgets;
-- ``svd-report``.
+- ``svd-report`` from ``.mtx`` to stdout and from CSV to ``--out``.
 
 Both roots read the same input files, which this script writes with
 numpy alone.  Every file a command writes is kept, and so are its
@@ -79,9 +83,15 @@ def write_inputs(directory):
         return f"{MM_HEADER}\n{b.shape[0]} {b.shape[1]}\n" + "".join(
             f"{v!r}\n" for v in b.T.ravel().tolist())
 
-    for name, text in (("a.csv", csv(a)), ("a.mtx", mtx(a)),
+    def messy(b):
+        lines = mtx(b).splitlines()
+        lines[3:3] = ["% a comment between values", ""]
+        lines.insert(len(lines) // 2, "  ")
+        return "\r\n".join(lines) + "\r\n\r\n"
+
+    for name, text in (("a.csv", csv(a)), ("a.mtx", mtx(a)), ("a_messy.mtx", messy(a)),
                        ("u.csv", csv(u[:, None])), ("u.mtx", mtx(u[:, None]))):
-        with open(os.path.join(directory, name), "w", encoding="ascii") as fh:
+        with open(os.path.join(directory, name), "w", encoding="ascii", newline="") as fh:
             fh.write(text)
     with open(os.path.join(directory, "desk.config"), "w", encoding="ascii") as fh:
         fh.write(DESK_CONFIG)
@@ -92,8 +102,9 @@ def write_inputs(directory):
               "--delta-abs": [DELTA_REL * float(np.linalg.norm(u)), -1.0],
               "--rank": [12, 0, 1000], "--alpha": [1e-4, -1.0], "--h": [1e-4 * fro, -1.0]}
     commands = {"experiment": ["experiment", "--config", "desk.config", "--out-dir", "desk"]}
-    for ext in ("csv", "mtx"):
-        files = ["--matrix", f"a.{ext}", "--rhs", f"u.{ext}"]
+    for ext, matrix, rhs in (("csv", "a.csv", "u.csv"), ("mtx", "a.mtx", "u.mtx"),
+                             ("messy", "a_messy.mtx", "u.mtx")):
+        files = ["--matrix", matrix, "--rhs", rhs]
         for method in ("mpmi", "mpm", "tsvd", "tr", "morozov"):
             for flag, flag_values in values.items():
                 for k, value in enumerate(flag_values if ext == "csv" else flag_values[:1]):
@@ -102,7 +113,10 @@ def write_inputs(directory):
     for share in (1e-6, 1e-2):
         commands[f"pinv_{share}"] = ["pinv", "--matrix", "a.csv", "--h", repr(share * fro),
                                      "--out", f"pinv_{share}.csv", "--emit-matrix"]
+    commands["pinv_messy"] = ["pinv", "--matrix", "a_messy.mtx", "--h", repr(1e-2 * fro),
+                              "--out", "pinv_messy.csv", "--emit-matrix"]
     commands["svd-report"] = ["svd-report", "--matrix", "a.mtx"]
+    commands["svd-report_csv"] = ["svd-report", "--matrix", "a.csv", "--out", "spectrum.csv"]
     return commands
 
 
