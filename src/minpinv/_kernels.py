@@ -7,10 +7,11 @@ absolute eps, and both the mpm distance (x - 1)**2 and the mpmi residual
 (1 - 1/x)**2 = (y / x)**2 are functions of y.  The left side is convex
 and strictly increasing, so Newton started from an upper bound on the
 root converges monotonically.  The start is read off a chord table of
-y/t, built once at import, and is within 1.01e-5 relative of the root;
-two steps reach the root to within a few ulps anywhere on the range, so
-the kernel takes exactly two, with no convergence test.  Endpoints are
-returned exactly.
+y/t on 32 769 knots, built once at import (2 x 256 KiB), and is within
+9.94e-9 relative of the root; one step squares that error to below the
+rounding of the step itself, so the kernel takes exactly one, with no
+convergence test, and lands within a few ulps of the root anywhere on
+the range.  Endpoints are returned exactly.
 
 ``QuarticFilter`` applies the kernel to one nonincreasing spectrum, set
 up once: the rank block (``SvdFactors.quartic``) or mpm's positive block
@@ -31,11 +32,11 @@ import numpy as np
 # Value of x**4 - x**3 at x = 3/2: the largest admissible right side.
 QUARTIC_MAX = 27.0 / 16.0
 
-# Newton steps from the tabulated start: its relative error of 1.01e-5
-# falls below 7e-11 and then 4e-21, under the rounding of the last step,
-# so y is within 3 eps of the exact root over all of [0, 27/16] (checked
-# on 200 001 points and on geometric grids towards both ends).
-NEWTON_STEPS = 2
+# Newton steps from the tabulated start: its relative error of 9.94e-9
+# falls to (2/3) e**2 < 7e-17, under the rounding of the step itself, so
+# y is within 2.6 eps of the exact root over all of [0, 27/16] (checked
+# on 200 000 uniform points and 20 001 geometric ones down to 1e-20).
+NEWTON_STEPS = 1
 
 # There is one (numpy) flavour; the benchmark's environment record reads this.
 USING_NUMBA = False
@@ -59,14 +60,16 @@ def _newton(y, t, steps):
 
 
 def _chord_table():
-    """1025 uniform knots on [0, 27/16] and c(t) = y/t = (1 + y)**-3 on them.
+    """32 769 uniform knots on [0, 27/16] and c(t) = y/t = (1 + y)**-3 on
+    them.  The chords' error falls with the square of their spacing:
+    1.01e-5 relative at 1 025 knots, 9.94e-9 here.
 
     y takes four steps from the root 2t / (sqrt(1 + 12t) + 1) of
     (1 + 3y) y = t, above the root since (1 + y)**3 >= 1 + 3y.  c computed
-    from it falls short of the exact value by up to 3.8 ulps, so it is
-    raised by 8 eps, which also covers the rounding of ``_start``.
+    from it falls short of the exact value by up to 2.9 eps relative, so
+    it is raised by 8 eps, which also covers the rounding of ``_start``.
     """
-    knots = np.linspace(0.0, QUARTIC_MAX, 1025)
+    knots = np.linspace(0.0, QUARTIC_MAX, 32769)
     p = 1.0 + _newton(np.minimum(2.0 * knots / (np.sqrt(1.0 + 12.0 * knots) + 1.0), 0.5),
                       knots, 4)
     return knots, (1.0 + 8.0 * np.finfo(float).eps) / (p * p * p)
@@ -86,12 +89,12 @@ def quartic_excess(t):
     over ``t`` and of its shape; t <= 0 gives 0 and t >= 27/16 gives 1/2.
 
     Newton on (1 + y)**3 y = t starts from the chord table (``_start``),
-    within 1.01e-5 relative above the root, and takes ``NEWTON_STEPS``
+    within 9.94e-9 relative above the root, and takes ``NEWTON_STEPS``
     steps.  y is within a few eps of the exact root, so it is not
     monotone at the scale of an ulp: as t grows it may fall below an
-    earlier value by at most twice that error (measured: 3 eps relative
-    over runs of adjacent floats anywhere in the range); a grid whose
-    steps raise the exact root by more never sees it.
+    earlier value.  On 27/16 (1 - geomspace(1e-3, 1e-15, 100001)) it does
+    so at 909 points, by at most 3 ulps; a grid whose steps raise the
+    exact root by more, such as 200 001 uniform points, never sees it.
     """
     t = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
     # the iterates fall towards the root and stay in [0, 1/2], except for

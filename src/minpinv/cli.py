@@ -71,6 +71,9 @@ def _emit_report(report_dict, payload_csv, out_path):
 
 
 def _cmd_solve(args):
+    # usage errors come before any file is read
+    if args.delta_rel is not None and args.delta_abs is not None:
+        raise InputError("give one of --delta-rel and --delta-abs, not both")
     matrix = read_matrix(args.matrix)
     rhs = read_vector(args.rhs)
     if rhs.shape[0] != matrix.shape[0]:
@@ -81,8 +84,6 @@ def _cmd_solve(args):
 
     delta_abs = args.delta_abs
     if args.delta_rel is not None:
-        if delta_abs is not None:
-            raise InputError("give one of --delta-rel and --delta-abs, not both")
         # the exact right side is unknown to a solver: scale by ||u||
         delta_abs = args.delta_rel * float(np.linalg.norm(rhs))
     try:
@@ -111,9 +112,9 @@ def _cmd_solve(args):
 
 
 def _cmd_pinv(args):
-    matrix = read_matrix(args.matrix)
     if args.emit_matrix and not args.out:
         raise InputError("--emit-matrix requires --out")
+    matrix = read_matrix(args.matrix)
     result = minimal_pseudoinverse(matrix, args.h)
     report = {
         "level": result.level,

@@ -21,6 +21,7 @@ finiteness and shapes and raise :class:`~minpinv.errors.InputError` /
 :class:`~minpinv.errors.SolverError`.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,7 +36,7 @@ EPS = np.finfo(np.float64).eps
 def require_finite(a, what="array"):
     """Return ``a`` as a float64 ndarray, rejecting NaN/Inf entries."""
     a = np.asarray(a, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InputError(f"{what} contains non-finite entries")
     return a
 
@@ -160,8 +161,10 @@ class SvdFactors:
         width = self.rank if width is None else width
         basis = self.rank_block[0] if width == self.rank else self.u[:, :width]
         head = basis.T @ u
-        full = basis.shape[1] == u.shape[0]
-        return np.append(head, 0.0 if full else np.linalg.norm(u - basis @ head))
+        if basis.shape[1] == u.shape[0]:
+            return np.concatenate((head, [0.0]))
+        floor = u - basis @ head
+        return np.concatenate((head, [math.sqrt(floor @ floor)]))
 
 
 def _freeze(a):
@@ -240,4 +243,4 @@ def spectrum_cond(values):
         raise SolverError(
             "undefined condition number", "all spectrum entries are zero"
         )
-    return float(np.max(live) / np.min(live))
+    return float(live.max() / live.min())

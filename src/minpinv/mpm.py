@@ -67,11 +67,14 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=No
     target in its jump makes b_i the root.  Else target <= f(b_i), which
     the entry before a repeated b_i would reach, so b_{i-1} < b_i, and on
     (b_{i-1}, b_i] the function is continuous: the root is found by
-    Illinois regula falsi (Dowell & Jarratt, BIT 1971), which bisects
-    whenever the secant point is not strictly inside the bracket or three
-    steps in a row failed to halve it.  The third is the step that halves
-    the stale end's value, so that rule gets its chance first.  No
-    derivative is needed.
+    regula falsi with Anderson & Bjorck's rule (BIT 13, 1973): when a step
+    keeps the same end as the step before, that end's value is scaled by
+    m = 1 - g_new / g_old, the ratio taken at the end the step replaced,
+    or halved as in the Illinois rule (Dowell & Jarratt, BIT 11, 1971)
+    when m <= 0.  It bisects whenever the secant point is not strictly
+    inside the bracket or three steps in a row failed to halve it.  The
+    third is the step that scales the stale end's value, so that rule gets
+    its chance first.  No derivative is needed.
 
     ``bounds = (lower, upper)``, as :class:`~minpinv._kernels.QuarticFilter`
     gives them with its merged points, hold lower[i] <= eval_fn(b_i) <=
@@ -82,7 +85,7 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=No
     monotone, so path, bracket and result are bit-identical.
     """
     rise = np.diff(breaks)
-    if not np.all((rise > 0.0) | (rise == 0.0) & (np.asarray(jumps)[:-1] == 0.0)):
+    if not ((rise > 0.0) | (rise == 0.0) & (np.asarray(jumps)[:-1] == 0.0)).all():
         raise InputError("breakpoints must ascend, a repeated one with its jump last")
     if bounds is None:
         bounds = [-np.inf] * len(breaks), [np.inf] * len(breaks)
@@ -142,16 +145,26 @@ def solve_generalized_root(eval_fn, breaks, jumps, target, tol_abs, *, bounds=No
         if abs(g) <= tol_abs:
             return float(mid), False
         if g < 0.0:
+            if kept == 1:   # b kept twice: scale its value
+                gb *= _anderson_bjorck(g, ga)
             a, ga = mid, g
-            if kept == 1:
-                gb *= 0.5   # Illinois rule: b kept twice, halve its value
             kept = 1
         else:
-            b, gb = mid, g
             if kept == -1:
-                ga *= 0.5
+                ga *= _anderson_bjorck(g, gb)
+            b, gb = mid, g
             kept = -1
         slow = 0 if bisect or b - a <= 0.5 * width else slow + 1
+
+
+def _anderson_bjorck(g, g_replaced):
+    """Anderson & Bjorck's factor m = 1 - g / g_replaced for the value of
+    the end a step kept, where g replaced g_replaced at the other end (of
+    the same sign), or 1/2 (the Illinois factor) when m <= 0.  g_replaced
+    is the unscaled value of the step before, which passed
+    |g| > tol_abs >= 0, so it is not 0."""
+    m = 1.0 - g / g_replaced
+    return m if m > 0.0 else 0.5
 
 
 def solve_level(matrix_error, factors):

@@ -19,6 +19,7 @@ over sigma_1 / sigma_r is 1.5 / x_1, which lies in [1, 3/2): at most,
 not at least, one and a half fold.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -69,8 +70,8 @@ def discrepancy_target(coeffs, rank, delta_abs):
     """
     if not delta_abs > 0.0:
         raise InputError("noise bound must be positive")
-    floor_sq = float(np.sum(coeffs[rank:] ** 2))
-    u_norm_sq = float(np.sum(coeffs * coeffs))
+    floor_sq = float(np.add.reduce(coeffs[rank:] ** 2))   # np.sum without its wrapper
+    u_norm_sq = float(np.add.reduce(coeffs * coeffs))
     target = delta_abs * delta_abs + floor_sq
     if target >= u_norm_sq:
         raise SolverError(
@@ -109,7 +110,7 @@ def head_residual_sq(sigma, s, coeffs_sq):
     full.  This is the squared residual of z = V (c / s) on those indices.
     """
     ratio = np.divide(sigma, s, out=np.zeros(len(s)), where=s > 0.0)
-    return float(np.sum((1.0 - ratio) ** 2 * coeffs_sq))
+    return float(np.add.reduce((1.0 - ratio) ** 2 * coeffs_sq))
 
 
 def spectral_report(factors, coeffs, method, s, parameter, jump_root=False):
@@ -127,17 +128,17 @@ def spectral_report(factors, coeffs, method, s, parameter, jump_root=False):
     r = len(s)
     head = coeffs[:r]
     resid_sq = head_residual_sq(factors.sigma[:r], s, head * head)
-    resid_sq += float(np.sum(coeffs[r:] ** 2))
+    resid_sq += float(np.add.reduce(coeffs[r:] ** 2))
     floor = coeffs[factors.rank:]
     basis = factors.rank_block[1] if r == factors.rank else factors.v[:, :r]
     return SolveReport(
         solution=basis @ np.divide(head, s, out=np.zeros(r), where=s > 0.0),
         method=method,
         parameter=parameter,
-        effective_rank=int(np.sum(s > 0.0)),
+        effective_rank=int(np.count_nonzero(s)),   # s >= 0
         condition_number=spectrum_cond(s),
-        residual=float(np.sqrt(resid_sq)),
-        residual_floor=float(np.sqrt(np.sum(floor * floor))),
+        residual=math.sqrt(resid_sq),
+        residual_floor=math.sqrt(np.add.reduce(floor * floor)),
         jump_root=bool(jump_root),
     )
 

@@ -145,6 +145,15 @@ class TestSolve:
         assert out == ""
         assert "error:" in err
 
+    def test_delta_flags_together_fail_before_any_file_is_read(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--matrix", str(tmp_path / "missing.csv"),
+            "--rhs", str(tmp_path / "missing_u.csv"), "--method", "mpmi",
+            "--delta-rel", "0.1", "--delta-abs", "0.2",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: give one of --delta-rel and --delta-abs, not both\n"
+
     def test_parse_error_exit_2(self, tmp_path, system_files, capsys):
         _, _, _, rhs_path = system_files
         bad = tmp_path / "bad.csv"
@@ -364,6 +373,12 @@ class TestPinv:
         code, _, _ = run_cli(capsys, "pinv", "--matrix", str(matrix_path),
                              "--h", "0.1", "--emit-matrix")
         assert code == 2
+
+    def test_emit_matrix_needs_out_before_the_matrix_is_read(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "pinv", "--matrix", str(tmp_path / "missing.csv"),
+                                 "--h", "0.1", "--emit-matrix")
+        assert (code, out) == (2, "")
+        assert err == "error: --emit-matrix requires --out\n"
 
 
 class TestSvdReport:

@@ -30,9 +30,10 @@ ROOT_AT_ONE = 1.380277569097614
 
 # Median root-function evaluations per solve on the 199x201 desk problem,
 # 6 noise levels x seeds 0-3, recorded with the bound-pruned binary
-# bracket search and Illinois steps.  The same search without bounds made
-# 13 and 10, the linear breakpoint scan before it about 210 and 197.
-DESK_EVALS = {"mpmi": 8.5, "mpm": 4}
+# bracket search and Anderson-Bjorck steps.  Illinois steps made 8.5 and
+# 4, the search without bounds 13 and 10, the linear breakpoint scan
+# before it about 210 and 197.
+DESK_EVALS = {"mpmi": 7.5, "mpm": 3.5}
 
 
 def filter_factor(rho, level):
@@ -318,8 +319,7 @@ class TestGeneralizedRoot:
                 u = perturb_rhs(desk_problem.exact_rhs, delta, seed)
                 solve(desk_factors, u, method, **{bound: delta * norm})
         assert len(counts) == 24
-        # a quarter of slack: the search without bounds fails this
-        assert np.median(counts) <= 1.25 * DESK_EVALS[method]
+        assert np.median(counts) <= DESK_EVALS[method]
 
     def test_warm_factors_evaluate_the_same_levels(self, desk_problem, monkeypatch):
         # the factors cache state that depends on sigma alone (filters,
@@ -358,7 +358,7 @@ class TestGeneralizedRoot:
             levels(warm, ("mpmi", "mpm")[i % 2], deltas[i // 2 % 6], 100 + i)
         for method in ("mpmi", "mpm"):
             fresh = levels(svd(desk_problem.matrix), method, 0.05, 7)
-            assert len(fresh) > 0
+            assert "quartic" in fresh    # the patch sees the kernel calls
             assert levels(warm, method, 0.05, 7) == fresh
 
     def test_undeclared_step_is_an_error(self):

@@ -54,3 +54,26 @@ def test_detail_report_separates_discrete_fields_from_rounding():
     report = compare.detail_report(old, payload(None, 13, error="SolverError"))
     assert report[0].endswith("differ in 1 of 2 runs")
     assert report[3] == "  mpm: accuracy 0, condition_number 0, parameter inf, residual 0"
+
+
+def test_evaluation_report_pairs_searches_with_runs():
+    def tree(*searches):
+        runs = [{"method": method, "error": error} for method, error in
+                (("mpmi", None), ("tsvd", None), ("mpm", None), ("mpmi", None),
+                 ("mpm", "SolverError"), ("mpm", None))]
+        return {"desk/detail.json": json.dumps({"runs": runs}).encode(),
+                "streams/experiment.levels": "".join(s + "\n" for s in searches).encode()}
+
+    compare = _compare_outputs()
+    old = tree("0x1p+0 0x1p+1 0x1p+2", "0x1p+0", "0x1p+1 0x1p+0", "0x1p+0 0x1p-1")
+    new = tree("0x1p+0 0x1p+1", "0x1p+0", "0x1p+1", "0x1p+0 0x1p-1 0x1p-2")
+    assert compare.evaluation_report(old, new) == [
+        "streams/experiment.levels: evaluations per root search, median / max",
+        "  mpmi: OLD 2.5 / 3, NEW 1.5 / 2",
+        "  mpm: OLD 1.5 / 2, NEW 2 / 3",
+    ]
+    # a failed search that evaluated levels leaves one line too many
+    assert compare.evaluation_report(old, tree("", "", "", "", "")) == [
+        "streams/experiment.levels: evaluations per root search, median / max",
+        "  the searches do not pair with the runs of detail.json",
+    ]

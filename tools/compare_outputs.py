@@ -32,6 +32,9 @@ paths that differ or exist on one side only.  When ``desk/detail.json`` differs,
 whether the discrete fields of every run (``DISCRETE``) are identical
 and prints, per method, the largest relative difference of each numeric
 field, so a change that moves the levels by rounding alone reads as such.
+When ``streams/experiment.levels`` differs, it prints per method the
+median and largest number of evaluations per root search of the desk
+experiment, for OLD and NEW.
 """
 
 import contextlib
@@ -62,6 +65,9 @@ MM_HEADER = "%%MatrixMarket matrix array real general"
 DETAIL = os.path.join("desk", "detail.json")
 # the run fields that must match exactly; every other field is numeric
 DISCRETE = ("method", "delta", "seed", "jump_root", "effective_rank", "error")
+DESK_LEVELS = os.path.join("streams", "experiment.levels")
+# the methods whose every solve is one root search (tsvd makes none)
+SEARCHING = ("mpmi", "mpm", "tr", "morozov")
 
 
 def write_inputs(directory):
@@ -234,6 +240,37 @@ def detail_report(old, new):
     return lines
 
 
+def evaluation_counts(detail, levels):
+    """Method -> evaluations per root search of the desk experiment, from
+    its ``detail.json`` and ``.levels`` payloads (bytes).  The searches run
+    in the order of the runs, one per run of a ``SEARCHING`` method without
+    an error; None when the two do not pair up."""
+    runs = [r["method"] for r in json.loads(detail)["runs"]
+            if r["method"] in SEARCHING and r["error"] is None]
+    searches = levels.decode().splitlines()
+    if len(runs) != len(searches):
+        return None
+    counts = {}
+    for method, search in zip(runs, searches):
+        counts.setdefault(method, []).append(len(search.split()))
+    return counts
+
+
+def evaluation_report(old, new):
+    """Lines giving, per method, the median and largest evaluations per
+    root search of the desk experiment in the OLD and NEW trees."""
+    sides = [evaluation_counts(tree[DETAIL], tree[DESK_LEVELS]) for tree in (old, new)]
+    lines = [f"{DESK_LEVELS}: evaluations per root search, median / max"]
+    if None in sides:
+        return lines + ["  the searches do not pair with the runs of detail.json"]
+    for method in (m for m in SEARCHING if m in sides[0] or m in sides[1]):
+        cells = [f"{side} " + (f"{float(np.median(c[method])):g} / {max(c[method])}"
+                               if method in c else "none")
+                 for side, c in zip(("OLD", "NEW"), sides)]
+        lines.append(f"  {method}: " + ", ".join(cells))
+    return lines
+
+
 def main(argv):
     if len(argv) != 2:
         print("usage: python tools/compare_outputs.py OLD_ROOT NEW_ROOT", file=sys.stderr)
@@ -248,6 +285,8 @@ def main(argv):
         print(path)
     if DETAIL in differing and all(DETAIL in t for t in trees):
         print("\n".join(detail_report(trees[0][DETAIL], trees[1][DETAIL])))
+    if DESK_LEVELS in differing and all(DETAIL in t and DESK_LEVELS in t for t in trees):
+        print("\n".join(evaluation_report(*trees)))
     if differing:
         print(f"{len(differing)} of {len(trees[0].keys() | trees[1].keys())} paths differ")
         return 1
